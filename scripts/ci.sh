@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # CI driver: project lint -> configure -> build -> clang-tidy gate (hard
 # fail, pinned major) -> test inside a wall-clock budget -> the same suite
-# again under the MPI correctness checker (COLCOM_CHECK=1 strict), then an
-# optional -Werror + ASan/UBSan pass over the trace/prof tests, a budgeted
-# CHK-EXPLORE schedule-exploration stage, and a chaos stage running the
-# fault suites under the sanitizers with several seeds — also under the
-# correctness checker.
+# again under the MPI correctness checker (COLCOM_CHECK=1 strict) -> the
+# benchmark smoke run and the ext_* bench smokes, then an optional -Werror
+# + ASan/UBSan pass over the trace/prof tests, a budgeted CHK-EXPLORE
+# schedule-exploration stage, and a chaos stage running the fault suites
+# under the sanitizers with several seeds — also under the correctness
+# checker.
 #
 # Usage: scripts/ci.sh [--fast] [--no-sanitize] [--no-chaos] [--no-tidy]
 #                      [chaos]
@@ -169,6 +170,12 @@ timeout "$BUDGET" ctest --test-dir "$BUILD_DIR" "${CTEST_ARGS[@]}"
 
 step "ctest under the MPI correctness checker (COLCOM_CHECK=1 strict)"
 COLCOM_CHECK=1 timeout "$BUDGET" ctest --test-dir "$BUILD_DIR" "${CTEST_ARGS[@]}"
+
+# The benchmark builds src/ on its own (.bench_build/perfbench) and gates
+# every workload's result bits and virtual time; a src/ change that breaks
+# its build or its correctness gate fails here.
+step "benchmark smoke (perfbench/run.py --smoke)"
+timeout "$BUDGET" python3 perfbench/run.py --smoke
 
 step "staging bench smoke (ext_staging shape checks)"
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target ext_staging

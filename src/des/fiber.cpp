@@ -1,5 +1,10 @@
 #include "des/fiber.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <new>
+
 #include "util/assert.hpp"
 
 // AddressSanitizer must be told about stack switches: its instrumentation
@@ -51,14 +56,28 @@ Fiber* g_trampoline_target = nullptr;
 }
 
 Fiber::Fiber(std::size_t stack_bytes, std::function<void()> body)
-    : stack_(std::make_unique<std::byte[]>(stack_bytes)),
-      stack_bytes_(stack_bytes),
-      body_(std::move(body)) {
+    : body_(std::move(body)) {
   COLCOM_EXPECT(stack_bytes >= 16 * 1024);
   COLCOM_EXPECT(body_ != nullptr);
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  stack_bytes_ = (stack_bytes + page - 1) / page * page;
+  mapping_bytes_ = stack_bytes_ + page;
+  // MAP_NORESERVE: no swap is set aside and no page is committed until it
+  // is first written, so untouched stack depth costs nothing.
+  void* m = mmap(nullptr, mapping_bytes_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+                 0);
+  if (m == MAP_FAILED) throw std::bad_alloc();
+  mapping_ = static_cast<std::byte*>(m);
+  // Stacks grow down: the guard is the lowest page.
+  if (mprotect(mapping_, page, PROT_NONE) != 0) {
+    munmap(mapping_, mapping_bytes_);
+    throw std::bad_alloc();
+  }
+  stack_ = mapping_ + page;
 }
 
-Fiber::~Fiber() = default;
+Fiber::~Fiber() { munmap(mapping_, mapping_bytes_); }
 
 void Fiber::trampoline() {
   Fiber* self = g_trampoline_target;
@@ -88,7 +107,7 @@ void Fiber::resume() {
   if (!started_) {
     started_ = true;
     getcontext(&ctx_);
-    ctx_.uc_stack.ss_sp = stack_.get();
+    ctx_.uc_stack.ss_sp = stack_;
     ctx_.uc_stack.ss_size = stack_bytes_;
     ctx_.uc_link = &return_ctx_;
     makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
@@ -96,7 +115,7 @@ void Fiber::resume() {
   }
   current_ = this;
   void* fake = nullptr;
-  asan_start_switch(&fake, stack_.get(), stack_bytes_);
+  asan_start_switch(&fake, stack_, stack_bytes_);
   swapcontext(&return_ctx_, &ctx_);
   asan_finish_switch(fake, nullptr, nullptr);
   current_ = nullptr;

@@ -11,15 +11,22 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <memory>
 
 namespace colcom::des {
 
 /// A single cooperative fiber. Not copyable/movable: the ucontext captures
 /// the object address.
+///
+/// The stack is an anonymous mapping reserved without commitment: a page
+/// costs host memory only once the fiber touches it, so a rank that runs a
+/// few KB deep holds a few KB however large `stack_bytes` is. One
+/// inaccessible guard page sits below the usable stack, so an overflow
+/// faults instead of overwriting a neighbouring allocation.
 class Fiber {
  public:
   /// `body` runs on the fiber's own stack when resume() is first called.
+  /// `stack_bytes` is the usable stack (rounded up to whole pages); the
+  /// guard page comes on top.
   Fiber(std::size_t stack_bytes, std::function<void()> body);
   ~Fiber();
 
@@ -47,8 +54,10 @@ class Fiber {
 
   ucontext_t ctx_{};
   ucontext_t return_ctx_{};
-  std::unique_ptr<std::byte[]> stack_;
-  std::size_t stack_bytes_;
+  std::byte* mapping_ = nullptr;  ///< guard page, then the usable stack
+  std::size_t mapping_bytes_ = 0;
+  std::byte* stack_ = nullptr;    ///< lowest usable byte, above the guard
+  std::size_t stack_bytes_ = 0;
   std::function<void()> body_;
   bool started_ = false;
   bool finished_ = false;

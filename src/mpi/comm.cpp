@@ -25,6 +25,7 @@ struct Request::State {
   std::shared_ptr<Msg> sent_msg;           // chaos sends: failure flag lives here
   check::PendingOp check_op;               // deadlock registry entry
   std::span<const std::byte> check_buf;    // CHK-BUF: app buffer at post time
+  std::shared_ptr<const Msg> check_msg;    // CHK-BUF: keeps an owned payload
   std::uint64_t check_sum = 0;
   bool check_armed = false;
 };
@@ -71,6 +72,35 @@ void wait_all(std::span<Request> reqs) {
 }
 
 // ---------------------------------------------------------------- World
+
+namespace {
+
+/// Bytes a posted receive can take.
+std::uint64_t capacity(const PostedRecv& r) {
+  if (r.segs.empty()) return r.dst.size();
+  std::uint64_t n = 0;
+  for (const Segment& seg : r.segs) n += seg.len;
+  return n;
+}
+
+/// Copies `payload` into the receive buffer: contiguously, or across the
+/// segments in list order.
+void fill(const PostedRecv& r, std::span<const std::byte> payload) {
+  if (r.segs.empty()) {
+    if (!payload.empty()) {
+      std::memcpy(r.dst.data(), payload.data(), payload.size());
+    }
+    return;
+  }
+  for (const Segment& seg : r.segs) {
+    const std::size_t n = std::min<std::uint64_t>(seg.len, payload.size());
+    if (n == 0) continue;
+    std::memcpy(r.dst.data() + seg.off, payload.data(), n);
+    payload = payload.subspan(n);
+  }
+}
+
+}  // namespace
 
 void World::kill_rank(int rank) {
   char& d = dead[static_cast<std::size_t>(rank)];
@@ -229,7 +259,7 @@ void World::complete_match(int dst, std::shared_ptr<Msg> msg,
     return;
   }
   auto finish = [&eng, dst](Msg& m, PostedRecv& r) {
-    COLCOM_EXPECT_MSG(m.payload.size() <= r.dst.size(),
+    COLCOM_EXPECT_MSG(m.payload.size() <= capacity(r),
                       "message longer than receive buffer");
     // CHK-SUM: the envelope is verified at the hand-off, before the receive
     // buffer is filled — eager and rendezvous deliveries funnel here.
@@ -237,9 +267,7 @@ void World::complete_match(int dst, std::shared_ptr<Msg> msg,
         ck != nullptr && m.check_id != 0) {
       ck->verify_payload(m.src, dst, m.tag, m.payload, m.check_sum);
     }
-    if (!m.payload.empty()) {
-      std::memcpy(r.dst.data(), m.payload.data(), m.payload.size());
-    }
+    fill(r, m.payload);
     r.matched = true;
     r.info = MsgInfo{m.src, m.tag, m.payload.size()};
     // Land the sender's flow arrow on the receiving rank's track at the
@@ -339,12 +367,23 @@ void Comm::overhead(double seconds) {
 }
 
 Request Comm::isend(int dst, int tag, std::span<const std::byte> data) {
+  return post_send(dst, tag, std::vector<std::byte>(data.begin(), data.end()),
+                   data);
+}
+
+Request Comm::isend(int dst, int tag, std::vector<std::byte>&& payload) {
+  return post_send(dst, tag, std::move(payload), {});
+}
+
+Request Comm::post_send(int dst, int tag, std::vector<std::byte> payload,
+                        std::span<const std::byte> user_buf) {
   COLCOM_EXPECT(dst >= 0 && dst < size());
   auto msg = std::make_shared<Msg>();
   msg->src = rank_;
   msg->tag = tag;
   msg->seq = world_->chan(rank_, dst).next_send_seq++;
-  msg->payload.assign(data.begin(), data.end());
+  msg->payload = std::move(payload);
+  const std::span<const std::byte> data(msg->payload);
 
   const bool eager = data.size() <= world_->rt->config().eager_threshold;
   if (trace::Tracer* tr = trace::Tracer::current(); tr != nullptr) {
@@ -381,7 +420,14 @@ Request Comm::isend(int dst, int tag, std::span<const std::byte> data) {
     op.tag = tag;
     op.rendezvous = !eager;
     op.bytes = data.size();
-    req.state_->check_buf = data;
+    if (!user_buf.empty()) {
+      req.state_->check_buf = user_buf;
+    } else {
+      // Owned payload: it is the send buffer, so it stays alive and watched
+      // until wait() even when the receiver has consumed the message.
+      req.state_->check_buf = data;
+      req.state_->check_msg = msg;
+    }
     req.state_->check_sum = check::checksum(data);
     req.state_->check_armed = true;
     msg->check_sum = req.state_->check_sum;  // CHK-SUM rides the envelope
@@ -453,6 +499,22 @@ void Comm::send(int dst, int tag, std::span<const std::byte> data) {
 }
 
 Request Comm::irecv(int src, int tag, std::span<std::byte> dst) {
+  return post_recv(src, tag, dst, {});
+}
+
+Request Comm::irecv(int src, int tag, std::span<std::byte> buf,
+                    std::vector<Segment> segs) {
+  for (const Segment& seg : segs) {
+    COLCOM_EXPECT_MSG(seg.off <= buf.size() && seg.len <= buf.size() - seg.off,
+                      "receive segment outside the buffer");
+  }
+  // No segments: a zero-byte receive, not the whole buffer.
+  if (segs.empty()) buf = buf.first(0);
+  return post_recv(src, tag, buf, std::move(segs));
+}
+
+Request Comm::post_recv(int src, int tag, std::span<std::byte> dst,
+                        std::vector<Segment> segs) {
   COLCOM_EXPECT(src == kAnySource || (src >= 0 && src < size()));
   des::note_access(des::mailbox_key(rank_));
   Mailbox& mb = world_->mailbox[static_cast<std::size_t>(rank_)];
@@ -476,6 +538,7 @@ Request Comm::irecv(int src, int tag, std::span<std::byte> dst) {
     pr->src = src;
     pr->tag = tag;
     pr->dst = dst;
+    pr->segs = std::move(segs);
     pr->cs = std::make_unique<des::CompletionSource>(engine());
     req.state_->completion = pr->cs->completion();
     req.state_->recv = pr.get();
@@ -490,6 +553,7 @@ Request Comm::irecv(int src, int tag, std::span<std::byte> dst) {
   pr->src = src;
   pr->tag = tag;
   pr->dst = dst;
+  pr->segs = std::move(segs);
   pr->cs = std::make_unique<des::CompletionSource>(engine());
   req.state_->completion = pr->cs->completion();
   req.state_->recv = pr.get();
@@ -501,6 +565,17 @@ Request Comm::irecv(int src, int tag, std::span<std::byte> dst) {
 MsgInfo Comm::recv(int src, int tag, std::span<std::byte> dst) {
   TRACE_SPAN(engine(), "mpi", "recv");
   Request r = irecv(src, tag, dst);
+  return finish_recv(r);
+}
+
+MsgInfo Comm::recv(int src, int tag, std::span<std::byte> buf,
+                   std::vector<Segment> segs) {
+  TRACE_SPAN(engine(), "mpi", "recv");
+  Request r = irecv(src, tag, buf, std::move(segs));
+  return finish_recv(r);
+}
+
+MsgInfo Comm::finish_recv(Request& r) {
   r.wait();
   const MsgInfo info = r.info();
   // Model the receive-side copy-out as sys time.

@@ -53,6 +53,12 @@ struct MsgInfo {
   std::uint64_t bytes = 0;
 };
 
+/// One piece of a segmented receive buffer: `len` bytes at byte `off`.
+struct Segment {
+  std::uint64_t off = 0;
+  std::uint64_t len = 0;
+};
+
 /// Handle for a nonblocking operation.
 class Request {
  public:
@@ -82,8 +88,19 @@ class Comm {
   // --- point-to-point, raw bytes ---
   void send(int dst, int tag, std::span<const std::byte> data);
   Request isend(int dst, int tag, std::span<const std::byte> data);
+  /// Send that takes ownership of `payload`: the buffer itself travels as
+  /// the message instead of being copied into one.
+  Request isend(int dst, int tag, std::vector<std::byte>&& payload);
   MsgInfo recv(int src, int tag, std::span<std::byte> dst);
   Request irecv(int src, int tag, std::span<std::byte> dst);
+  /// Segmented receive (an hindexed receive datatype): the message fills
+  /// `segs` of `buf` one after another, in list order. A message longer
+  /// than the segments' total is a contract violation.
+  Request irecv(int src, int tag, std::span<std::byte> buf,
+                std::vector<Segment> segs);
+  /// Blocking segmented receive; charges the copy-out like recv().
+  MsgInfo recv(int src, int tag, std::span<std::byte> buf,
+               std::vector<Segment> segs);
   /// Combined exchange — deadlock-free even when all ranks call it at once.
   void sendrecv(int dst, int send_tag, std::span<const std::byte> send_data,
                 int src, int recv_tag, std::span<std::byte> recv_buf);
@@ -176,6 +193,17 @@ class Comm {
 
   /// Applies the chaos straggler factor (1.0 on a fault-free machine).
   double scale_cpu(double seconds) const;
+
+  /// Posts a send of `payload`. `user_buf` is the caller's buffer the
+  /// payload was copied from (CHK-BUF watches it while the send pends);
+  /// empty for an owned payload, which is watched instead.
+  Request post_send(int dst, int tag, std::vector<std::byte> payload,
+                    std::span<const std::byte> user_buf);
+  /// Posts a receive; an empty `segs` receives contiguously into `dst`.
+  Request post_recv(int src, int tag, std::span<std::byte> dst,
+                    std::vector<Segment> segs);
+  /// Waits for a receive and charges its copy-out as sys time.
+  MsgInfo finish_recv(Request& r);
 
   World* world_ = nullptr;
   int rank_ = -1;

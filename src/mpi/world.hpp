@@ -52,6 +52,8 @@ struct PostedRecv {
   int src = kAnySource;
   int tag = kAnyTag;
   std::span<std::byte> dst;
+  /// Segments of `dst` filled in order; empty = all of `dst`, contiguous.
+  std::vector<Segment> segs;
   bool matched = false;
   bool failed = false;  ///< matched a poisoned message; wait() throws
   bool dead_peer = false;  ///< recv_ft declared the source process dead

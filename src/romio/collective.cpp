@@ -148,10 +148,8 @@ CollectiveStats CollectiveIo::read_all(mpi::Comm& comm, pfs::FileId file,
     if (plan.n_iters > 0) issue_read(0);
   }
 
-  std::vector<std::byte> staging;
   for (int k = 0; k < plan.n_iters; ++k) {
     std::vector<mpi::Request> sends;
-    std::vector<std::vector<std::byte>> wires;
     if (my_agg >= 0) {
       auto& is = stats.iters[static_cast<std::size_t>(k)];
       const pfs::ByteExtent c = reader.chunk();
@@ -179,24 +177,27 @@ CollectiveStats CollectiveIo::read_all(mpi::Comm& comm, pfs::FileId file,
                 plan.domain_requests[static_cast<std::size_t>(r)].intersect(
                     c.offset, c.offset + c.length);
             if (pieces.empty()) continue;
-            wires.push_back(pack_pieces(chunk_buf, c.offset, pieces));
-            is.shuffle_bytes += wires.back().size();
+            std::vector<std::byte> wire = pack_pieces(chunk_buf, c.offset,
+                                                      pieces);
+            const std::uint64_t n = wire.size();
+            is.shuffle_bytes += n;
             TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
-                        "romio.shuffle_bytes", wires.back().size());
+                        "romio.shuffle_bytes", n);
             // Pack cost (sys time) at the aggregator.
-            comm.overhead(static_cast<double>(wires.back().size()) / pack_bw);
-            sends.push_back(comm.isend(r, read_tag(hints_), wires.back()));
+            comm.overhead(static_cast<double>(n) / pack_bw);
+            sends.push_back(
+                comm.isend(r, read_tag(hints_), std::move(wire)));
           }
         }
         // Receive own pieces below, then account the shuffle completion.
-        receive_for_iteration(comm, plan, mine, dst, k, staging, stats);
+        receive_for_iteration(comm, plan, mine, dst, k, stats);
         mpi::wait_all(sends);
       }
       is.shuffle_s = comm.wtime() - shuffle_begin;
       if (!hints_.pipelined && k + 1 < plan.n_iters) issue_read(k + 1);
     } else {
       TRACE_SPAN(comm.engine(), "romio", "shuffle");
-      receive_for_iteration(comm, plan, mine, dst, k, staging, stats);
+      receive_for_iteration(comm, plan, mine, dst, k, stats);
     }
   }
   stats.total_s = comm.wtime() - t_begin;
@@ -207,54 +208,36 @@ void CollectiveIo::receive_for_iteration(mpi::Comm& comm,
                                          const TwoPhasePlan& plan,
                                          const FlatRequest& mine,
                                          std::span<std::byte> dst, int k,
-                                         std::vector<std::byte>& staging,
                                          CollectiveStats& stats) {
   // Post every expected receive up front (ROMIO posts all irecvs then
-  // waits), then scatter each aggregator's payload into the user buffer.
+  // waits); each aggregator's payload lands straight in the user buffer,
+  // one segment per piece.
   struct Incoming {
-    std::vector<Piece> pieces;
     std::uint64_t total = 0;
-    std::uint64_t staging_off = 0;
     mpi::Request req;
   };
   std::vector<Incoming> incoming;
-  std::uint64_t staging_total = 0;
   for (int a = 0; a < plan.aggregator_count(); ++a) {
     const pfs::ByteExtent c = plan.chunk(a, k);
     if (c.length == 0) continue;
-    auto pieces = mine.intersect(c.offset, c.offset + c.length);
+    const auto pieces = mine.intersect(c.offset, c.offset + c.length);
     if (pieces.empty()) continue;
     Incoming in;
-    in.pieces = std::move(pieces);
-    for (const auto& p : in.pieces) in.total += p.len;
-    in.staging_off = staging_total;
-    staging_total += in.total;
+    std::vector<mpi::Segment> segs;
+    segs.reserve(pieces.size());
+    for (const auto& p : pieces) {
+      segs.push_back({p.buf_off, p.len});
+      in.total += p.len;
+    }
+    in.req = comm.irecv(plan.aggregators[static_cast<std::size_t>(a)],
+                        read_tag(hints_), dst, std::move(segs));
     incoming.push_back(std::move(in));
   }
-  if (incoming.empty()) return;
-  staging.resize(staging_total);
-  std::size_t idx = 0;
-  for (int a = 0; a < plan.aggregator_count(); ++a) {
-    const pfs::ByteExtent c = plan.chunk(a, k);
-    if (c.length == 0) continue;
-    if (idx >= incoming.size()) break;
-    // Incoming entries were appended in aggregator order; match them back.
-    Incoming& in = incoming[idx];
-    if (mine.bytes_in(c.offset, c.offset + c.length) == 0) continue;
-    in.req = comm.irecv(
-        plan.aggregators[static_cast<std::size_t>(a)], read_tag(hints_),
-        std::span<std::byte>(staging).subspan(in.staging_off, in.total));
-    ++idx;
-  }
+  // Unpack cost (sys time) of ROMIO's copy out of its receive buffer.
   const double unpack_bw = comm.runtime().config().memcpy_bw;
   for (auto& in : incoming) {
     in.req.wait();
     COLCOM_ENSURE(in.req.info().bytes == in.total);
-    std::uint64_t pos = in.staging_off;
-    for (const auto& p : in.pieces) {
-      std::memcpy(dst.data() + p.buf_off, staging.data() + pos, p.len);
-      pos += p.len;
-    }
     comm.overhead(static_cast<double>(in.total) / unpack_bw);
     stats.bytes_moved += in.total;
   }
@@ -274,11 +257,9 @@ CollectiveStats CollectiveIo::write_all(mpi::Comm& comm, pfs::FileId file,
   const double pack_bw = comm.runtime().config().pack_bw;
 
   std::vector<std::byte> chunk_buf;
-  std::vector<std::byte> staging;
   for (int k = 0; k < plan.n_iters; ++k) {
     // Everyone ships its pieces of each aggregator's current chunk.
     std::vector<mpi::Request> sends;
-    std::vector<std::vector<std::byte>> wires;
     for (int a = 0; a < plan.aggregator_count(); ++a) {
       const pfs::ByteExtent c = plan.chunk(a, k);
       if (c.length == 0) continue;
@@ -293,10 +274,9 @@ CollectiveStats CollectiveIo::write_all(mpi::Comm& comm, pfs::FileId file,
         pos += p.len;
       }
       comm.overhead(static_cast<double>(total) / pack_bw);
-      wires.push_back(std::move(wire));
       stats.bytes_moved += total;
       sends.push_back(comm.isend(plan.aggregators[static_cast<std::size_t>(a)],
-                                 write_tag(hints_), wires.back()));
+                                 write_tag(hints_), std::move(wire)));
     }
 
     if (my_agg >= 0) {
@@ -341,17 +321,17 @@ CollectiveStats CollectiveIo::write_all(mpi::Comm& comm, pfs::FileId file,
           }
           for (const auto& [req, r] : contributors) {
             const auto pieces = req->intersect(c.offset, c.offset + c.length);
+            // The contributor's pieces land straight in the chunk buffer.
             std::uint64_t total = 0;
-            for (const auto& p : pieces) total += p.len;
-            staging.resize(total);
-            const auto info = comm.recv(r, write_tag(hints_), staging);
-            COLCOM_ENSURE(info.bytes == total);
-            std::uint64_t pos = 0;
+            std::vector<mpi::Segment> segs;
+            segs.reserve(pieces.size());
             for (const auto& p : pieces) {
-              std::memcpy(chunk_buf.data() + (p.file_off - c.offset),
-                          staging.data() + pos, p.len);
-              pos += p.len;
+              segs.push_back({p.file_off - c.offset, p.len});
+              total += p.len;
             }
+            const auto info =
+                comm.recv(r, write_tag(hints_), chunk_buf, std::move(segs));
+            COLCOM_ENSURE(info.bytes == total);
             is.shuffle_bytes += total;
             TRACE_COUNT(comm.engine(), ::colcom::trace::Track::ranks,
                         "romio.shuffle_bytes", total);

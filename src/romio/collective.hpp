@@ -107,12 +107,11 @@ class CollectiveIo {
   const Hints& hints() const { return hints_; }
 
  private:
-  /// Receiver side of one iteration: pull this rank's pieces of every
-  /// aggregator's chunk `k` and scatter them into `dst`.
+  /// Receiver side of one iteration: receive this rank's pieces of every
+  /// aggregator's chunk `k` straight into their places in `dst`.
   void receive_for_iteration(mpi::Comm& comm, const TwoPhasePlan& plan,
                              const FlatRequest& mine, std::span<std::byte> dst,
-                             int k, std::vector<std::byte>& staging,
-                             CollectiveStats& stats);
+                             int k, CollectiveStats& stats);
 
   static IterStat& ensure_iter(CollectiveStats& stats, int n_iters, int k);
 

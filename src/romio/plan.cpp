@@ -362,15 +362,14 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
   // list that falls in each aggregator's file domain to that aggregator.
   TRACE_SPAN(comm.engine(), "romio", "exchange");
   std::vector<mpi::Request> sends;
-  std::vector<std::vector<std::byte>> wires(plan.aggregators.size());
   for (int a = 0; a < naggs; ++a) {
     const auto ia = static_cast<std::size_t>(a);
     std::vector<pfs::ByteExtent> clipped;
     for (const auto& p : mine.intersect(plan.fd_begin[ia], plan.fd_end[ia])) {
       clipped.push_back(pfs::ByteExtent{p.file_off, p.len});
     }
-    wires[ia] = FlatRequest(std::move(clipped)).serialize();
-    sends.push_back(comm.isend(plan.aggregators[ia], plan_tag(hints), wires[ia]));
+    sends.push_back(comm.isend(plan.aggregators[ia], plan_tag(hints),
+                               FlatRequest(std::move(clipped)).serialize()));
   }
 
   if (plan.is_aggregator(comm.rank())) {

@@ -895,12 +895,14 @@ void StagedReader::verify_hit(ChunkCache::Entry& e, SourceChunk& out) {
   }
   // Unrecoverable garbage: doom the entry so no future lookup can hit it,
   // hand back our pin (erasing it), and surface the structured failure.
+  // The key is copied first: unpinning a doomed entry frees it.
   e.doomed = true;
+  const ChunkKey doomed_key = e.key;
   area_->cache_.unpin(e, st);
   throw integrity::make_corrupt_error(
       fault::Layer::stage, integrity::Stage::cache,
-      "file " + std::to_string(e.key.file) + " offset " +
-          std::to_string(e.key.offset));
+      "file " + std::to_string(doomed_key.file) + " offset " +
+          std::to_string(doomed_key.offset));
 }
 
 void StagedReader::release() {
