@@ -2,8 +2,9 @@
 # CI driver: project lint -> configure -> build -> clang-tidy gate (hard
 # fail, pinned major) -> test inside a wall-clock budget -> the same suite
 # again under the MPI correctness checker (COLCOM_CHECK=1 strict) -> the
-# benchmark smoke run and the ext_* bench smokes, then an optional -Werror
-# + ASan/UBSan pass over the trace/prof tests, a budgeted CHK-EXPLORE
+# benchmark smoke run, the ext_* bench smokes and the virtual-time golden
+# gate over the BENCH_*.json files, then an optional -Werror + ASan/UBSan
+# pass over the trace/prof tests and Accumulator, a budgeted CHK-EXPLORE
 # schedule-exploration stage, and a chaos stage running the fault suites
 # under the sanitizers with several seeds — also under the correctness
 # checker.
@@ -220,6 +221,12 @@ if grep -q "shape MISS" <<<"$STREAMING_OUT"; then
   exit 1
 fi
 
+# Every ext_* bench that owns a BENCH_*.json must reproduce it exactly:
+# those numbers are virtual time and counts, so any drift is a behaviour
+# change (about 80 s on a 4-core host).
+step "virtual-time golden gate (scripts/bench_gate.sh)"
+BUILD_DIR="$BUILD_DIR" JOBS="$(nproc)" timeout "$BUDGET" scripts/bench_gate.sh
+
 # The streaming suite under the correctness checker and a shifted chaos
 # seed: producer/consumer crash points at moved timestamps must end every
 # run done or failed-with-reason — no hangs, no leaked stream pins — and
@@ -231,12 +238,17 @@ COLCOM_CHAOS_SEED=7 COLCOM_CHECK=1 timeout "$BUDGET" \
 if [[ $SANITIZE -eq 1 ]]; then
   configure_asan
   step "sanitizer build (-Werror + ASan/UBSan)"
-  cmake --build "$BUILD_DIR-asan" -j "$(nproc)" --target test_trace test_prof
+  cmake --build "$BUILD_DIR-asan" -j "$(nproc)" \
+    --target test_trace test_prof test_core
 
-  step "sanitizer run (trace + prof tests)"
+  step "sanitizer run (trace + prof tests, Accumulator)"
   sanitizer_env
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_trace"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_prof"
+  # Accumulator keeps a pointer to its mpi::Op (binding a temporary is a
+  # compile error); this run guards the lifetime of the named ones.
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_core" \
+    --gtest_filter='Accumulator*'
 
   # CHK-EXPLORE: bounded-budget schedule exploration of the 4-rank
   # ft-agreement and svc resubmit-from-mid worlds, plus the seeded-bug

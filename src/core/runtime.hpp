@@ -78,17 +78,21 @@ CcStats traditional_compute(mpi::Comm& comm, const ncio::Dataset& ds,
 /// `mid`, so interleaving jobs never changes any job's combine order).
 struct RunOptions {
   /// Per-rank staging area (see src/stage/): aggregator chunk reads go
-  /// through its cache + prefetch pipeline, and replans invalidate the dead
-  /// domain. nullptr runs the unstaged path bit-identically to before.
+  /// through a stage::StagedReader over it (cache + prefetch pipeline; its
+  /// readahead follows StageConfig::prefetch/prefetch_depth), absorbs enter
+  /// its cache through the reader's aux(), and replans invalidate the dead
+  /// domain. Cold make-up re-reads stay uncached. nullptr reads through a
+  /// stage::DirectReader, double-buffered against the PFS.
   stage::StagingArea* staging = nullptr;
 
   /// Per-rank chunk source overriding the PFS entirely (see src/stream/):
-  /// aggregator chunk reads — demand, absorb and cold make-up alike — are
-  /// served by this source, and the run brackets its consumed byte span
-  /// with source->prepare()/retire() on every rank. The map/shuffle/reduce
-  /// path is unchanged, so a source serving the file's bytes produces
+  /// aggregator chunk reads are served by this source — its own chunks by
+  /// the source, absorb and cold make-up by its aux() — at the readahead
+  /// depth it reports, and the run brackets its consumed byte span with
+  /// source->prepare()/retire() on every rank. The map/shuffle/reduce path
+  /// is unchanged, so a source serving the file's bytes produces
   /// bit-identical results. Takes precedence over `staging` for chunk
-  /// reads; nullptr keeps the PFS paths exactly as before.
+  /// reads.
   stage::ChunkSource* source = nullptr;
 
   /// First aggregation iteration (chunk index) to execute. > 0 resumes a

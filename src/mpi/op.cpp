@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "util/assert.hpp"
@@ -10,11 +11,20 @@ namespace colcom::mpi {
 
 namespace {
 
+// Element access goes through memcpy: callers combine inside packed wire
+// records (core's 9-byte final-reduce record) where T need not be aligned.
 template <typename T, typename F>
 void combine(const void* in, void* inout, std::size_t count, F f) {
-  const T* a = static_cast<const T*>(in);
-  T* b = static_cast<T*>(inout);
-  for (std::size_t i = 0; i < count; ++i) b[i] = f(a[i], b[i]);
+  const auto* a = static_cast<const unsigned char*>(in);
+  auto* b = static_cast<unsigned char*>(inout);
+  for (std::size_t i = 0; i < count; ++i) {
+    T x;
+    T y;
+    std::memcpy(&x, a + i * sizeof(T), sizeof(T));
+    std::memcpy(&y, b + i * sizeof(T), sizeof(T));
+    y = f(x, y);
+    std::memcpy(b + i * sizeof(T), &y, sizeof(T));
+  }
 }
 
 template <typename F>

@@ -651,8 +651,45 @@ romio::CollectiveStats StagingArea::wb_flush_collective(
 // --- ChunkSource ---
 
 ChunkSource::~ChunkSource() = default;
+int ChunkSource::readahead() const { return 1; }
 void ChunkSource::prepare(std::uint64_t /*lo*/, std::uint64_t /*hi*/) {}
 void ChunkSource::retire(std::uint64_t /*lo*/, std::uint64_t /*hi*/) {}
+
+// --- DirectReader ---
+
+DirectReader::DirectReader(mpi::Comm& comm, pfs::FileId file,
+                           std::uint64_t sieve_gap, fault::Injector* chaos)
+    : comm_(&comm), file_(file), sieve_gap_(sieve_gap), chaos_(chaos) {}
+
+bool DirectReader::begin(pfs::ByteExtent chunk,
+                         const std::vector<romio::FlatRequest>& dreqs,
+                         bool /*speculative*/) {
+  COLCOM_EXPECT_MSG(!inflight_, "DirectReader holds one fetch at a time");
+  reader_.issue(comm_->runtime().fs(), file_, dreqs, chunk,
+                bufs_[begun_ % 2], sieve_gap_, comm_->wtime(), chaos_);
+  ++begun_;
+  inflight_ = true;
+  return true;
+}
+
+SourceChunk DirectReader::take() {
+  COLCOM_EXPECT_MSG(inflight_, "take() with no begun fetch");
+  reader_.wait();
+  inflight_ = false;
+  extents_ = reader_.extents();
+  SourceChunk out;
+  out.data = std::span<std::byte>(bufs_[(begun_ - 1) % 2]);
+  out.extents = std::span<const pfs::ByteExtent>(extents_);
+  out.service_s = reader_.service_time();
+  out.bytes_read = reader_.bytes_read();
+  out.fallbacks = reader_.fallbacks() - fallbacks_seen_;
+  fallbacks_seen_ = reader_.fallbacks();
+  return out;
+}
+
+std::unique_ptr<ChunkSource> DirectReader::aux() {
+  return std::make_unique<DirectReader>(*comm_, file_, sieve_gap_, chaos_);
+}
 
 // --- StagedReader ---
 
@@ -763,7 +800,7 @@ bool StagedReader::begin(pfs::ByteExtent chunk,
   return true;
 }
 
-StagedReader::Chunk StagedReader::take() {
+SourceChunk StagedReader::take() {
   COLCOM_EXPECT_MSG(!holding_, "take() without release() of the previous chunk");
   COLCOM_EXPECT_MSG(!inflight_.empty(), "take() with no begun fetch");
   mpi::Comm& comm = *area_->comm_;
@@ -776,7 +813,7 @@ StagedReader::Chunk StagedReader::take() {
     --area_->spec_inflight_;
   }
 
-  Chunk out;
+  SourceChunk out;
   if (f.chunk.length == 0) return out;
 
   if (f.hit) {
@@ -845,6 +882,10 @@ StagedReader::Chunk StagedReader::take() {
 std::unique_ptr<ChunkSource> StagedReader::aux() {
   return std::make_unique<StagedReader>(*area_, *fs_, file_, sieve_gap_,
                                         chaos_);
+}
+
+int StagedReader::readahead() const {
+  return area_->cfg_.prefetch ? std::max(1, area_->cfg_.prefetch_depth) : 0;
 }
 
 void StagedReader::verify_hit(ChunkCache::Entry& e, SourceChunk& out) {

@@ -423,10 +423,12 @@ struct SourceChunk {
 
 /// The chunk-source seam of the collective-computing runtime: anything that
 /// can serve window-addressed chunk bytes behind the begin/take/release
-/// pipeline — the staged PFS reader below, or a stream::Reader fed by an
-/// in-transit producer (src/stream/). The runtime's map/shuffle/reduce path
-/// is source-agnostic, so results are bit-identical across sources that
-/// serve the same bytes.
+/// pipeline — the unstaged DirectReader and the StagedReader below, or a
+/// stream::Reader fed by an in-transit producer (src/stream/). Every
+/// aggregator read of the runtime goes through this seam, and the source
+/// alone decides how deep the pipeline reads ahead. The map/shuffle/reduce
+/// path is source-agnostic, so results are bit-identical across sources
+/// that serve the same bytes.
 class ChunkSource {
  public:
   virtual ~ChunkSource();
@@ -451,12 +453,52 @@ class ChunkSource {
   /// auxiliary source so the primary pipeline's order is untouched).
   virtual std::unique_ptr<ChunkSource> aux() = 0;
 
+  /// How many chunks beyond the one in service the consumer may begin
+  /// ahead of take(); 0 turns the speculative overlap off. One by default.
+  virtual int readahead() const;
+
   /// Window hooks for sources with producer-side state: [lo, hi) is the
   /// file-byte span the next run will consume. prepare() may block until
   /// the span is available (all ranks call it together); retire() signals
   /// the span was fully consumed. No-ops for PFS-backed sources.
   virtual void prepare(std::uint64_t lo, std::uint64_t hi);
   virtual void retire(std::uint64_t lo, std::uint64_t hi);
+};
+
+/// The unstaged source: one reused romio::ChunkReader against the PFS and
+/// two alternating chunk buffers, so the chunk being mapped stays intact
+/// while the next one is read (the paper's double-buffered I/O thread).
+/// One fetch is in flight at a time, and nothing is allocated per chunk
+/// once the buffers have grown.
+class DirectReader : public ChunkSource {
+ public:
+  DirectReader(mpi::Comm& comm, pfs::FileId file, std::uint64_t sieve_gap,
+               fault::Injector* chaos);
+
+  /// Issues the chunk's async reads and never refuses. An extent that
+  /// exhausts its PFS retries degrades to an independent read, counted as
+  /// a fallback of this chunk.
+  bool begin(pfs::ByteExtent chunk,
+             const std::vector<romio::FlatRequest>& dreqs,
+             bool speculative) override;
+  /// Waits for the begun fetch.
+  SourceChunk take() override;
+  /// Nothing to free: the buffer is reused two begins later.
+  void release() override {}
+  /// A fresh reader with its own buffers.
+  std::unique_ptr<ChunkSource> aux() override;
+
+ private:
+  mpi::Comm* comm_;
+  pfs::FileId file_;
+  std::uint64_t sieve_gap_;
+  fault::Injector* chaos_;
+  romio::ChunkReader reader_;
+  std::vector<std::byte> bufs_[2];
+  std::vector<pfs::ByteExtent> extents_;  ///< of the last take()
+  int begun_ = 0;                 ///< begin() calls so far
+  bool inflight_ = false;
+  std::uint64_t fallbacks_seen_ = 0;  ///< reader_.fallbacks() reported
 };
 
 /// The prefetch pipeline over one file: begin() starts acquiring a chunk
@@ -485,17 +527,18 @@ class StagedReader : public ChunkSource {
              const std::vector<romio::FlatRequest>& dreqs,
              bool speculative) override;
 
-  using Chunk = SourceChunk;
-
   /// Completes the oldest begun fetch. The previous take must have been
   /// released.
-  Chunk take() override;
+  SourceChunk take() override;
 
   /// Releases the bytes of the last take (unpins / frees the buffer).
   void release() override;
 
   /// A sibling reader over the same area and file (absorb side-channel).
   std::unique_ptr<ChunkSource> aux() override;
+
+  /// StageConfig::prefetch_depth (at least 1), or 0 with prefetch off.
+  int readahead() const override;
 
  private:
   friend class StagingArea;

@@ -216,8 +216,8 @@ TEST(Engine, BlockAndWakeRoundTrip) {
   EXPECT_TRUE(resumed);
 }
 
-TEST(Engine, CpuListenerReceivesIntervals) {
-  struct Rec : CpuListener {
+TEST(Engine, TraceSinkReceivesIntervals) {
+  struct Rec : TraceSink {
     std::vector<std::tuple<int, CpuKind, SimTime, SimTime>> intervals;
     void on_interval(int node, int, CpuKind kind, SimTime b,
                      SimTime en) override {
@@ -225,7 +225,7 @@ TEST(Engine, CpuListenerReceivesIntervals) {
     }
   } rec;
   Engine e;
-  e.set_cpu_listener(&rec);
+  e.add_trace_sink(&rec);
   e.spawn("a", 3, [&] {
     e.advance(1.0, CpuKind::user);
     e.advance(0.5, CpuKind::sys);

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <string>
 
 #include "core/iterative.hpp"
 #include "core/object_io.hpp"
@@ -205,6 +206,7 @@ struct CcRun {
   float value = 0;
   core::CcStats stats;       // rank 0's stats
   fault::FaultStats faults;  // whole-machine fault counters
+  std::vector<float> mine;   // per-rank own-subset result (0 when absent)
 };
 
 constexpr int kProcs = 8;
@@ -213,7 +215,8 @@ constexpr int kProcs = 8;
 /// variable, 8 KB chunks so each file domain spans several iterations.
 CcRun run_cc(const fault::ChaosConfig& chaos,
              const std::vector<fault::ChaosEvent>& extra_events = {},
-             double pfs_fail_prob = 0, int pfs_max_retries = 4) {
+             double pfs_fail_prob = 0, int pfs_max_retries = 4,
+             core::ReduceMode mode = core::ReduceMode::all_to_one) {
   mpi::MachineConfig machine;
   machine.cores_per_node = 4;
   machine.pfs.n_osts = 4;
@@ -239,6 +242,7 @@ CcRun run_cc(const fault::ChaosConfig& chaos,
                     })
                 .finish();
   CcRun res;
+  res.mine.assign(kProcs, 0);
   rt.run([&](mpi::Comm& comm) {
     core::ObjectIO io;
     io.var = ds.var("v");
@@ -247,8 +251,10 @@ CcRun run_cc(const fault::ChaosConfig& chaos,
     io.count = {64, 2, 16};
     io.op = mpi::Op::sum();
     io.hints.cb_buffer_size = 8192;
+    io.reduce_mode = mode;
     core::CcOutput out;
     const auto st = core::collective_compute(comm, ds, io, out);
+    if (out.has_mine) std::memcpy(&res.mine[r], out.mine, sizeof(float));
     if (comm.rank() == 0) {
       res.value = out.global_as<float>();
       res.stats = st;
@@ -442,6 +448,53 @@ TEST(CcChaos, CombinedFaultsStayExactAndReproducible) {
   EXPECT_DOUBLE_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.faults.msgs_dropped, b.faults.msgs_dropped);
   EXPECT_EQ(a.faults.straggler_hits, b.faults.straggler_hits);
+}
+
+TEST(CcChaos, AllToAllRoleCrashSweepIsBitIdenticalOnEveryRank) {
+  // all_to_all ships one record per (chunk, origin rank) straight to the
+  // origin, so a role crash exercises the per-rank watched receive, the
+  // per-rank make-up receive, the per-record warm re-serve and the
+  // per-rank interrupt note. Sweep each aggregator's crash over the clean
+  // run, warm and cold: every rank's own result must stay bit-identical.
+  // Rank 0's slot comes first in every iteration, so its misses also defer
+  // rank 4's records behind the make-up.
+  const auto a2a = core::ReduceMode::all_to_all;
+  const CcRun clean = run_cc(fault::ChaosConfig{}, {}, 0, 4, a2a);
+  std::uint64_t warm_chunks = 0;
+  int cold_rereads = 0;
+  for (const int subject : {4, 0}) {
+    for (int i = 1; i < 20; ++i) {
+      fault::ChaosEvent crash;
+      crash.kind = fault::Kind::aggregator_crash;
+      crash.subject = subject;
+      crash.at = clean.elapsed * i / 20;
+      fault::ChaosConfig warm_cfg;
+      warm_cfg.seed = chaos_seed();
+      fault::ChaosConfig cold_cfg = warm_cfg;
+      cold_cfg.warm_partials = false;
+      const CcRun warm = run_cc(warm_cfg, {crash}, 0, 4, a2a);
+      const CcRun cold = run_cc(cold_cfg, {crash}, 0, 4, a2a);
+      for (const CcRun* run : {&warm, &cold}) {
+        const std::string where = "rank " + std::to_string(subject) +
+                                  " crash at " + std::to_string(i) +
+                                  "/20, warm=" + std::to_string(run == &warm);
+        EXPECT_EQ(std::memcmp(&run->value, &clean.value, sizeof(float)), 0)
+            << where;
+        EXPECT_EQ(std::memcmp(run->mine.data(), clean.mine.data(),
+                              clean.mine.size() * sizeof(float)),
+                  0)
+            << where;
+      }
+      EXPECT_EQ(cold.faults.warm_chunks, 0u);
+      warm_chunks += warm.faults.warm_chunks;
+      // A cold make-up re-reads the chunk the warm run forwarded.
+      if (cold.faults.absorbed_chunks > warm.faults.absorbed_chunks) {
+        ++cold_rereads;
+      }
+    }
+  }
+  EXPECT_GT(warm_chunks, 0u) << "no crash landed mid-iteration";
+  EXPECT_GT(cold_rereads, 0);
 }
 
 // ---------------- PFS structured errors ----------------

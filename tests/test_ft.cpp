@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/object_io.hpp"
@@ -21,6 +24,8 @@
 #include "mpi/runtime.hpp"
 #include "ncio/dataset.hpp"
 #include "pfs/store.hpp"
+#include "romio/collective.hpp"
+#include "romio/plan.hpp"
 #include "stage/stage.hpp"
 #include "trace/trace.hpp"
 
@@ -373,6 +378,164 @@ TEST(CcFt, WarmPartialIsBitIdenticalAndReadsFewerPfsBytes) {
   const FtRun again = run_cc_ft({}, {crash}, warm_cfg);
   EXPECT_DOUBLE_EQ(warm.elapsed, again.elapsed);
   EXPECT_EQ(warm.faults.warm_records, again.faults.warm_records);
+}
+
+// ------------- a failed side-channel read aborts everyone -------------
+
+/// Serves primary chunks from the PFS through romio::ChunkReader (a demand
+/// read at take()); its aux() readers — the absorb and make-up side-channel
+/// — fail every take(). `take_done`, when set, records the virtual time each
+/// primary take() returned.
+class FailingAuxSource final : public stage::ChunkSource {
+ public:
+  FailingAuxSource(mpi::Comm& comm, pfs::FileId file, bool primary,
+                   std::vector<double>* take_done)
+      : comm_(&comm), file_(file), primary_(primary), take_done_(take_done) {}
+
+  bool begin(pfs::ByteExtent chunk,
+             const std::vector<romio::FlatRequest>& dreqs, bool) override {
+    pending_.push_back({chunk, &dreqs});
+    return true;
+  }
+  stage::SourceChunk take() override {
+    if (!primary_) {
+      throw fault::Error(fault::Layer::stage, fault::Kind::retry_exhausted,
+                         "side-channel read failed");
+    }
+    const auto [chunk, dreqs] = pending_.front();
+    pending_.pop_front();
+    romio::ChunkReader reader;
+    reader.issue(comm_->runtime().fs(), file_, *dreqs, chunk, buf_, 0,
+                 comm_->wtime());
+    reader.wait();
+    if (take_done_ != nullptr) take_done_->push_back(comm_->wtime());
+    extents_ = reader.extents();
+    stage::SourceChunk out;
+    out.data = buf_;
+    out.extents = extents_;
+    out.service_s = reader.service_time();
+    out.bytes_read = reader.bytes_read();
+    return out;
+  }
+  void release() override {}
+  std::unique_ptr<stage::ChunkSource> aux() override {
+    return std::make_unique<FailingAuxSource>(*comm_, file_, false, nullptr);
+  }
+
+ private:
+  struct Pending {
+    pfs::ByteExtent chunk;
+    const std::vector<romio::FlatRequest>* dreqs;
+  };
+  mpi::Comm* comm_;
+  pfs::FileId file_;
+  bool primary_;
+  std::vector<double>* take_done_;
+  std::deque<Pending> pending_;
+  std::vector<std::byte> buf_;
+  std::vector<pfs::ByteExtent> extents_;
+};
+
+/// Per rank: finished (no throw), or the kind of the fault::Error thrown.
+struct AbortRun {
+  std::vector<char> finished;
+  std::vector<std::optional<fault::Kind>> kind;
+  std::vector<double> rank4_takes;  // rank 4's primary take() return times
+};
+
+/// run_cc_ft's world under RunOptions::recover and a FailingAuxSource, with
+/// a crash point that never fires (it arms ft mode) and `events`.
+AbortRun run_failing_side_channel(core::ReduceMode mode,
+                            const std::vector<fault::ChaosEvent>& events) {
+  mpi::MachineConfig machine;
+  machine.cores_per_node = 4;
+  machine.pfs.n_osts = 4;
+  machine.pfs.stripe_size = 8192;
+  mpi::Runtime rt(machine, kProcs);
+  fault::ChaosConfig chaos;
+  chaos.seed = chaos_seed();
+  chaos.warm_partials = false;  // every make-up is a cold side-channel read
+  fault::ChaosSchedule sched(chaos, rt.n_nodes(), kProcs, 8);
+  for (const auto& ev : events) sched.add(ev);
+  sched.add_crash_point({fault::Phase::plan_exchange, 7, 1000});
+  rt.install_chaos(std::move(sched));
+  auto ds = ncio::DatasetBuilder(rt.fs(), "ft.nc")
+                .add_generated_var<float>(
+                    "v", {64, 16, 16},
+                    [](std::span<const std::uint64_t> c) {
+                      double v = 1.0;
+                      for (auto x : c) v = v * 3.7 + static_cast<double>(x);
+                      return static_cast<float>(v * 1e-3);
+                    })
+                .finish();
+  AbortRun res;
+  res.finished.assign(kProcs, 0);
+  res.kind.assign(kProcs, std::nullopt);
+  rt.run([&](mpi::Comm& comm) {
+    core::ObjectIO io;
+    io.var = ds.var("v");
+    const auto r = static_cast<std::uint64_t>(comm.rank());
+    io.start = {0, 2 * r, 0};
+    io.count = {64, 2, 16};
+    io.op = mpi::Op::sum();
+    io.hints.cb_buffer_size = 8192;
+    io.reduce_mode = mode;
+    const romio::TwoPhasePlan plan = romio::build_plan(
+        comm, ds.slab_request(io.var, io.start, io.count),
+        core::detail::cc_hints(io, sizeof(float)));
+    FailingAuxSource src(comm, ds.file(), true,
+                         comm.rank() == 4 ? &res.rank4_takes : nullptr);
+    core::RunOptions ropt;
+    ropt.source = &src;
+    ropt.recover = true;
+    core::CcOutput out;
+    try {
+      core::collective_compute_with_plan(comm, ds, io, plan, out, ropt);
+      res.finished[r] = 1;
+    } catch (const fault::Error& e) {
+      res.kind[r] = e.kind();
+    }
+  });
+  return res;
+}
+
+TEST(CcFt, FailedSideChannelReadAbortsEveryRankInBothReduceModes) {
+  // Rank 4's role dies and rank 0 must serve its chunks, but every
+  // side-channel read of rank 0 fails. Two timings:
+  //   - in rank 4's last iteration, after its chunk is read: the receivers
+  //     log the miss, the final watch announces it, and the cold make-up
+  //     re-read fails;
+  //   - just after a mid-run read: that chunk still ships, the next watch
+  //     sees the death, and the absorb of the next chunk fails.
+  // Every receiver of the failed slot must be told, so the attempt aborts
+  // as slice_aborted on all ranks instead of leaving them polling for
+  // records that never come. Under all_to_all the receivers are the ranks
+  // holding pieces of the dead domain's chunk.
+  for (const auto mode :
+       {core::ReduceMode::all_to_one, core::ReduceMode::all_to_all}) {
+    const AbortRun probe = run_failing_side_channel(mode, {});
+    ASSERT_FALSE(probe.rank4_takes.empty());
+    for (int p = 0; p < kProcs; ++p) {
+      EXPECT_TRUE(probe.finished[static_cast<std::size_t>(p)] != 0)
+          << "rank " << p;
+    }
+    const double makeup_at = probe.rank4_takes.back();
+    const double absorb_at =
+        probe.rank4_takes[probe.rank4_takes.size() / 2] + 1e-9;
+    for (const double at : {makeup_at, absorb_at}) {
+      fault::ChaosEvent crash;
+      crash.kind = fault::Kind::aggregator_crash;
+      crash.subject = 4;
+      crash.at = at;
+      const AbortRun run = run_failing_side_channel(mode, {crash});
+      for (int p = 0; p < kProcs; ++p) {
+        const auto i = static_cast<std::size_t>(p);
+        EXPECT_EQ(run.finished[i], 0) << "rank " << p << " crash at " << at;
+        EXPECT_EQ(run.kind[i], fault::Kind::slice_aborted)
+            << "rank " << p << " crash at " << at;
+      }
+    }
+  }
 }
 
 // ---------------- fault.* metric cardinality ----------------
