@@ -4,10 +4,10 @@
 # again under the MPI correctness checker (COLCOM_CHECK=1 strict) -> the
 # benchmark smoke run, the ext_* bench smokes and the virtual-time golden
 # gate over the BENCH_*.json files, then an optional -Werror + ASan/UBSan
-# pass over the trace/prof tests and Accumulator, a budgeted CHK-EXPLORE
-# schedule-exploration stage, and a chaos stage running the fault suites
-# under the sanitizers with several seeds — also under the correctness
-# checker.
+# pass over the trace/prof tests, Accumulator and the file-store suites
+# (pfs, ncio, wrf), a budgeted CHK-EXPLORE schedule-exploration stage, and
+# a chaos stage running the fault suites under the sanitizers with several
+# seeds — also under the correctness checker.
 #
 # Usage: scripts/ci.sh [--fast] [--no-sanitize] [--no-chaos] [--no-tidy]
 #                      [chaos]
@@ -239,12 +239,17 @@ if [[ $SANITIZE -eq 1 ]]; then
   configure_asan
   step "sanitizer build (-Werror + ASan/UBSan)"
   cmake --build "$BUILD_DIR-asan" -j "$(nproc)" \
-    --target test_trace test_prof test_core
+    --target test_trace test_prof test_core test_pfs test_ncio test_wrf
 
-  step "sanitizer run (trace + prof tests, Accumulator)"
+  step "sanitizer run (trace + prof tests, Accumulator, file stores)"
   sanitizer_env
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_trace"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_prof"
+  # pfs::MemStore owns a raw calloc'd block that grows on writes past its
+  # end; the store, dataset and WRF writer suites cover every path into it.
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_pfs"
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_ncio"
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_wrf"
   # Accumulator keeps a pointer to its mpi::Op (binding a temporary is a
   # compile error); this run guards the lifetime of the named ones.
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_core" \

@@ -1,8 +1,19 @@
 #include "pfs/store.hpp"
 
 #include <algorithm>
+#include <new>
 
 namespace colcom::pfs {
+
+void MemStore::reserve(std::uint64_t capacity) {
+  if (capacity == 0) return;
+  std::unique_ptr<std::byte[], Free> fresh(
+      static_cast<std::byte*>(std::calloc(capacity, 1)));
+  if (fresh == nullptr) throw std::bad_alloc();
+  if (size_ > 0) std::memcpy(fresh.get(), data_.get(), size_);
+  data_ = std::move(fresh);
+  capacity_ = capacity;
+}
 
 void OverlayStore::read(std::uint64_t offset,
                         std::span<std::byte> dst) const {

@@ -7,8 +7,10 @@
 // written extents over a generator (used for dataset headers).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -41,26 +43,43 @@ class Store {
   virtual const Store& pristine() const { return *this; }
 };
 
-/// Bytes held in memory; grows on write.
+/// Bytes held in memory; grows on write. The bytes come from `calloc`, so a
+/// byte never written reads as zero and a page is committed only when it is
+/// first written: a large file store that the run never fills costs address
+/// space, not resident memory. The bytes past size() up to the capacity are
+/// never written, so they stay zero for a later write past the end.
 class MemStore final : public Store {
  public:
   MemStore() = default;
-  explicit MemStore(std::uint64_t size) : data_(size) {}
+  explicit MemStore(std::uint64_t size) {
+    reserve(size);
+    size_ = size;
+  }
 
   void read(std::uint64_t offset, std::span<std::byte> dst) const override {
-    COLCOM_EXPECT(offset + dst.size() <= data_.size());
-    std::memcpy(dst.data(), data_.data() + offset, dst.size());
+    COLCOM_EXPECT(offset <= size_ && dst.size() <= size_ - offset);
+    if (!dst.empty()) std::memcpy(dst.data(), data_.get() + offset, dst.size());
   }
 
   void write(std::uint64_t offset, std::span<const std::byte> src) override {
-    if (offset + src.size() > data_.size()) data_.resize(offset + src.size());
-    std::memcpy(data_.data() + offset, src.data(), src.size());
+    const std::uint64_t end = offset + src.size();
+    if (end > capacity_) reserve(std::max(end, 2 * capacity_));
+    if (!src.empty()) std::memcpy(data_.get() + offset, src.data(), src.size());
+    size_ = std::max(size_, end);
   }
 
-  std::uint64_t size() const override { return data_.size(); }
+  std::uint64_t size() const override { return size_; }
 
  private:
-  std::vector<std::byte> data_;
+  /// Moves the bytes into a zeroed block of `capacity` bytes.
+  void reserve(std::uint64_t capacity);
+
+  struct Free {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+  std::unique_ptr<std::byte[], Free> data_;
+  std::uint64_t size_ = 0;
+  std::uint64_t capacity_ = 0;
 };
 
 /// Fills reads from `fill(byte_offset, dst)`; read-only.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "check/check.hpp"
 #include "fault/chaos.hpp"
@@ -72,8 +73,13 @@ void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
   }
 }
 
+[[noreturn]] void corrupt_plan(const std::string& what) {
+  throw fault::Error(fault::Layer::romio, fault::Kind::data_corrupt,
+                     "plan image: " + what);
+}
+
 std::uint64_t get_u64(std::span<const std::byte> bytes, std::size_t& pos) {
-  COLCOM_EXPECT(pos + 8 <= bytes.size());
+  if (bytes.size() - pos < 8) corrupt_plan("truncated");
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
     v |= static_cast<std::uint64_t>(bytes[pos + static_cast<std::size_t>(i)])
@@ -81,6 +87,34 @@ std::uint64_t get_u64(std::span<const std::byte> bytes, std::size_t& pos) {
   }
   pos += 8;
   return v;
+}
+
+// Receives one FlatRequest from every rank of `comm` on `tag`, in rank
+// order; `self`, when given, stands in for this rank's own list, which is
+// then not received. A sender's list size is unknown a priori and recv()
+// enforces fit, so every list lands in one 4 MB staging buffer: at most
+// 262,143 extents (an 8-byte count plus 16 bytes per extent). The buffer is
+// allocated for overwrite, since the decoder reads only what recv() wrote.
+// `ft` receives through recv_ft, which degrades to recv() without an
+// injector and turns a mid-exchange peer death into a structured fault
+// instead of a hang.
+std::vector<FlatRequest> recv_requests(mpi::Comm& comm, int tag, bool ft,
+                                       const FlatRequest* self = nullptr) {
+  constexpr std::size_t kStagingBytes = 4 << 20;
+  const auto buf = std::make_unique_for_overwrite<std::byte[]>(kStagingBytes);
+  const std::span<std::byte> staging(buf.get(), kStagingBytes);
+  std::vector<FlatRequest> out(static_cast<std::size_t>(comm.size()));
+  for (int r = 0; r < comm.size(); ++r) {
+    FlatRequest& slot = out[static_cast<std::size_t>(r)];
+    if (self != nullptr && r == comm.rank()) {
+      slot = *self;
+      continue;
+    }
+    const auto info =
+        ft ? comm.recv_ft(r, tag, staging) : comm.recv(r, tag, staging);
+    slot = FlatRequest::deserialize(staging.first(info.bytes));
+  }
+  return out;
 }
 }
 
@@ -170,7 +204,29 @@ TwoPhasePlan TwoPhasePlan::deserialize(std::span<const std::byte> bytes) {
   p.gmax = get_u64(bytes, pos);
   p.n_iters = static_cast<int>(get_u64(bytes, pos));
   p.cb = get_u64(bytes, pos);
-  const std::uint64_t naggs = get_u64(bytes, pos);
+  // Every count is checked against the bytes left before anything is
+  // allocated for it, by division so a huge count cannot wrap.
+  auto count = [&](std::uint64_t min_bytes_each, const char* what) {
+    const std::uint64_t n = get_u64(bytes, pos);
+    if (n > (bytes.size() - pos) / min_bytes_each) {
+      corrupt_plan(std::string(what) + " count " + std::to_string(n) +
+                   " exceeds the image");
+    }
+    return n;
+  };
+  // Each nested request: its wire length, then the wire (at least its own
+  // 8-byte extent count).
+  auto requests = [&](std::vector<FlatRequest>& out, const char* what) {
+    const std::uint64_t nreqs = count(16, what);
+    out.reserve(nreqs);
+    for (std::uint64_t i = 0; i < nreqs; ++i) {
+      const std::uint64_t n = get_u64(bytes, pos);
+      if (n > bytes.size() - pos) corrupt_plan("request overruns the image");
+      out.push_back(FlatRequest::deserialize(bytes.subspan(pos, n)));
+      pos += n;
+    }
+  };
+  const std::uint64_t naggs = count(24, "aggregators");  // rank, begin, end
   p.aggregators.reserve(naggs);
   for (std::uint64_t i = 0; i < naggs; ++i) {
     p.aggregators.push_back(static_cast<int>(get_u64(bytes, pos)));
@@ -181,24 +237,9 @@ TwoPhasePlan TwoPhasePlan::deserialize(std::span<const std::byte> bytes) {
   for (std::uint64_t i = 0; i < naggs; ++i) {
     p.fd_end.push_back(get_u64(bytes, pos));
   }
-  const std::uint64_t nreqs = get_u64(bytes, pos);
-  p.domain_requests.reserve(nreqs);
-  for (std::uint64_t i = 0; i < nreqs; ++i) {
-    const std::uint64_t n = get_u64(bytes, pos);
-    COLCOM_EXPECT(pos + n <= bytes.size());
-    p.domain_requests.push_back(
-        FlatRequest::deserialize(bytes.subspan(pos, n)));
-    pos += n;
-  }
-  const std::uint64_t nall = get_u64(bytes, pos);
-  p.all_requests.reserve(nall);
-  for (std::uint64_t i = 0; i < nall; ++i) {
-    const std::uint64_t n = get_u64(bytes, pos);
-    COLCOM_EXPECT(pos + n <= bytes.size());
-    p.all_requests.push_back(FlatRequest::deserialize(bytes.subspan(pos, n)));
-    pos += n;
-  }
-  COLCOM_EXPECT_MSG(pos == bytes.size(), "trailing bytes in plan image");
+  requests(p.domain_requests, "domain_requests");
+  requests(p.all_requests, "all_requests");
+  if (pos != bytes.size()) corrupt_plan("trailing bytes");
   return p;
 }
 
@@ -373,20 +414,8 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
   }
 
   if (plan.is_aggregator(comm.rank())) {
-    plan.domain_requests.resize(static_cast<std::size_t>(nprocs));
-    // Receive every rank's clipped list (deterministic rank order).
-    // The sender's clipped-list size is unknown a priori; recv() enforces
-    // fit, so use a staging buffer large enough for any realistic offset
-    // list (256k extents). recv_ft degrades to recv() without an injector
-    // and turns a mid-exchange peer death into a structured fault instead
-    // of a hang.
-    std::vector<std::byte> buf(4 << 20);
-    for (int r = 0; r < nprocs; ++r) {
-      const auto info = comm.recv_ft(r, plan_tag(hints), buf);
-      plan.domain_requests[static_cast<std::size_t>(r)] =
-          FlatRequest::deserialize(
-              std::span<const std::byte>(buf.data(), info.bytes));
-    }
+    // Every rank's clipped list, in deterministic rank order.
+    plan.domain_requests = recv_requests(comm, plan_tag(hints), true);
   }
   mpi::wait_all(sends);
 
@@ -407,18 +436,7 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
         if (r == comm.rank()) continue;
         rsends.push_back(comm.isend(r, replica_tag(hints), wire));
       }
-      plan.all_requests.resize(static_cast<std::size_t>(nprocs));
-      std::vector<std::byte> buf(4 << 20);
-      for (int r = 0; r < nprocs; ++r) {
-        if (r == comm.rank()) {
-          plan.all_requests[static_cast<std::size_t>(r)] = mine;
-          continue;
-        }
-        const auto info = comm.recv_ft(r, replica_tag(hints), buf);
-        plan.all_requests[static_cast<std::size_t>(r)] =
-            FlatRequest::deserialize(
-                std::span<const std::byte>(buf.data(), info.bytes));
-      }
+      plan.all_requests = recv_requests(comm, replica_tag(hints), true, &mine);
       mpi::wait_all(rsends);
       mpi::ft::crash_point(comm, fault::Phase::plan_exchange);
     }
@@ -551,14 +569,8 @@ std::vector<FlatRequest> replan_exchange(mpi::Comm& comm,
   std::vector<FlatRequest> absorbed;
   if (std::find(survivors.begin(), survivors.end(), comm.rank()) !=
       survivors.end()) {
-    const int nprocs = comm.size();
-    absorbed.resize(static_cast<std::size_t>(nprocs));
-    std::vector<std::byte> buf(4 << 20);
-    for (int r = 0; r < nprocs; ++r) {
-      const auto info = comm.recv(r, replan_tag(hints), buf);
-      absorbed[static_cast<std::size_t>(r)] = FlatRequest::deserialize(
-          std::span<const std::byte>(buf.data(), info.bytes));
-    }
+    // Plain recv: recv_ft's poll timers would add events to chaos runs.
+    absorbed = recv_requests(comm, replan_tag(hints), false);
   }
   mpi::wait_all(sends);
   return absorbed;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
+#include "fault/fault.hpp"
 #include "util/assert.hpp"
 
 namespace colcom::romio {
@@ -91,10 +93,15 @@ FlatRequest FlatRequest::shifted(std::int64_t delta) const {
 }
 
 FlatRequest FlatRequest::deserialize(std::span<const std::byte> wire) {
-  COLCOM_EXPECT(wire.size() >= 8);
+  // The extent count is checked against the bytes left, by division so a
+  // huge count cannot wrap, before anything is allocated for it.
   std::uint64_t n = 0;
-  std::memcpy(&n, wire.data(), 8);
-  COLCOM_EXPECT(wire.size() >= 8 + n * 16);
+  if (wire.size() >= 8) std::memcpy(&n, wire.data(), 8);
+  if (wire.size() < 8 || n > (wire.size() - 8) / 16) {
+    throw fault::Error(fault::Layer::romio, fault::Kind::data_corrupt,
+                       "request image of " + std::to_string(wire.size()) +
+                           " bytes cannot hold its extent count");
+  }
   std::vector<pfs::ByteExtent> ext(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     std::memcpy(&ext[i].offset, wire.data() + 8 + i * 16, 8);

@@ -1,7 +1,11 @@
 // Unit tests for stores and the striped parallel file system.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <numeric>
 
 #include "des/engine.hpp"
@@ -28,6 +32,83 @@ TEST(MemStore, ReadBackWhatWasWritten) {
   std::vector<std::uint8_t> r(5);
   s.read(10, as_bytes(r));
   EXPECT_EQ(r, w);
+}
+
+bool all_zero(std::span<const std::byte> bytes) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [](std::byte b) { return b == std::byte{0}; });
+}
+
+// Frees a block of `n` bytes of 0xcd, so storage that is not zeroed when it
+// is handed out again would show those bytes.
+void dirty_heap(std::size_t n) {
+  std::vector<std::uint8_t> junk(n, 0xcd);
+  EXPECT_EQ(junk.back(), 0xcd);
+}
+
+TEST(MemStore, NeverWrittenBytesReadAsZero) {
+  for (const std::size_t size : {std::size_t{4096}, std::size_t{1} << 20}) {
+    dirty_heap(size);
+    MemStore s(size);
+    const std::vector<std::uint8_t> w(100, 0xab);
+    s.write(1000, as_cbytes(w));
+    std::vector<std::byte> r(size);
+    s.read(0, r);
+    EXPECT_TRUE(all_zero(std::span(r).first(1000))) << size;
+    EXPECT_TRUE(all_zero(std::span(r).subspan(1100))) << size;
+    EXPECT_EQ(std::to_integer<int>(r[1000]), 0xab);
+  }
+}
+
+TEST(MemStore, GapsLeftByWritesPastTheEndReadAsZero) {
+  // Each write lands well past the current end and forces the store to
+  // grow. Before each one the heap is dirtied with a block of the size the
+  // store is about to ask for.
+  MemStore s;
+  std::vector<std::uint64_t> at;
+  for (std::uint64_t off = 100; off < (std::uint64_t{64} << 20); off *= 7) {
+    dirty_heap(off + 8);
+    const auto mark = static_cast<std::uint8_t>(at.size() + 1);
+    s.write(off, as_cbytes(std::vector<std::uint8_t>(8, mark)));
+    at.push_back(off);
+    ASSERT_EQ(s.size(), off + 8);
+  }
+  std::vector<std::byte> r(s.size());
+  s.read(0, r);
+  std::uint64_t prev = 0;
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    EXPECT_TRUE(all_zero(std::span(r).subspan(prev, at[i] - prev)))
+        << "gap before the write at " << at[i];
+    for (std::uint64_t b = at[i]; b < at[i] + 8; ++b) {
+      EXPECT_EQ(std::to_integer<std::size_t>(r[b]), i + 1);
+    }
+    prev = at[i] + 8;
+  }
+}
+
+// Resident set size of this process, read from /proc/self/statm.
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size_pages = 0;
+  std::int64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::int64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(MemStore, CommitsOnlyWrittenPages) {
+  constexpr std::int64_t kMB = 1 << 20;
+  const std::vector<std::uint8_t> w(8 * kMB, 0x5a);  // committed up front
+  const std::int64_t before = resident_bytes();
+  MemStore s(512 * kMB);
+  const std::int64_t created = resident_bytes();
+  s.write(504 * kMB, as_cbytes(w));
+  const std::int64_t written = resident_bytes();
+  EXPECT_LT(created - before, 16 * kMB);
+  EXPECT_GT(written - created, 7 * kMB);
+  EXPECT_LT(written - created, 12 * kMB);
+  std::vector<std::uint8_t> tail(8 * kMB);
+  s.read(504 * kMB, as_bytes(tail));
+  EXPECT_EQ(tail, w);
 }
 
 TEST(GeneratorStore, SynthesizesTypedElements) {

@@ -4,7 +4,9 @@
 
 #include <cstring>
 #include <numeric>
+#include <optional>
 
+#include "fault/fault.hpp"
 #include "mpi/runtime.hpp"
 #include "pfs/store.hpp"
 #include "romio/collective.hpp"
@@ -73,6 +75,81 @@ TEST(FlatRequest, SerializeRoundTrip) {
   const auto wire = r.serialize();
   const auto back = FlatRequest::deserialize(wire);
   EXPECT_EQ(back.extents(), r.extents());
+}
+
+/// The fault kind `decode` throws, or nullopt if it returns.
+template <typename Decode>
+std::optional<fault::Kind> decode_fault(Decode decode) {
+  try {
+    decode();
+  } catch (const fault::Error& e) {
+    return e.kind();
+  }
+  return std::nullopt;
+}
+
+std::vector<std::byte> u64_image(std::initializer_list<std::uint64_t> words) {
+  std::vector<std::byte> out(words.size() * 8);
+  std::size_t pos = 0;
+  for (const std::uint64_t w : words) {
+    std::memcpy(out.data() + pos, &w, 8);
+    pos += 8;
+  }
+  return out;
+}
+
+TEST(FlatRequest, OversizedExtentCountIsDataCorrupt) {
+  // 2^60 extents would need 8 + 2^64 bytes, which wraps to 8: a 24-byte
+  // image must not pass for it. Nor may a count one above what fits, or an
+  // image too short for the count itself.
+  for (const auto& wire :
+       {u64_image({1ull << 60, 0, 0}), u64_image({2, 0, 0}),
+        std::vector<std::byte>(7)}) {
+    EXPECT_EQ(decode_fault([&] { FlatRequest::deserialize(wire); }),
+              fault::Kind::data_corrupt)
+        << wire.size() << "-byte image";
+  }
+}
+
+TEST(TwoPhasePlan, OversizedCountsAreDataCorrupt) {
+  // 48-byte images: gmin, gmax, n_iters, cb, then a count no image of this
+  // size can hold — 2^61 aggregators, or none and 2^62 domain requests.
+  for (const auto& image : {u64_image({0, 64, 1, 64, 1ull << 61, 0}),
+                            u64_image({0, 64, 1, 64, 0, 1ull << 62})}) {
+    ASSERT_EQ(image.size(), 48u);
+    EXPECT_EQ(decode_fault([&] { TwoPhasePlan::deserialize(image); }),
+              fault::Kind::data_corrupt);
+  }
+}
+
+TEST(TwoPhasePlan, EveryTruncatedImageIsDataCorrupt) {
+  TwoPhasePlan p;
+  p.gmin = 16;
+  p.gmax = 4096;
+  p.n_iters = 2;
+  p.cb = 1024;
+  p.aggregators = {0, 4};
+  p.fd_begin = {16, 2064};
+  p.fd_end = {2064, 4096};
+  p.domain_requests = {FlatRequest({{16, 8}, {100, 4}}), FlatRequest()};
+  p.all_requests = {FlatRequest({{16, 8}}), FlatRequest({{2064, 32}})};
+  const auto image = p.serialize();
+  const TwoPhasePlan back = TwoPhasePlan::deserialize(image);
+  EXPECT_EQ(back.aggregators, p.aggregators);
+  EXPECT_EQ(back.fd_end, p.fd_end);
+  ASSERT_EQ(back.domain_requests.size(), 2u);
+  EXPECT_EQ(back.domain_requests[0].extents(), p.domain_requests[0].extents());
+  EXPECT_EQ(back.all_requests[1].extents(), p.all_requests[1].extents());
+  for (std::size_t n = 0; n < image.size(); ++n) {
+    const auto prefix = std::span<const std::byte>(image).first(n);
+    EXPECT_EQ(decode_fault([&] { TwoPhasePlan::deserialize(prefix); }),
+              fault::Kind::data_corrupt)
+        << n << " of " << image.size() << " bytes";
+  }
+  auto longer = image;
+  longer.push_back(std::byte{0});
+  EXPECT_EQ(decode_fault([&] { TwoPhasePlan::deserialize(longer); }),
+            fault::Kind::data_corrupt);
 }
 
 TEST(FlatRequest, FromDatatypeAnchorsAtBase) {

@@ -17,6 +17,7 @@
 #include "mpi/runtime.hpp"
 #include "ncio/dataset.hpp"
 #include "pfs/store.hpp"
+#include "romio/plan.hpp"
 #include "stage/stage.hpp"
 
 namespace colcom {
@@ -248,6 +249,105 @@ TEST(Staging, DeepPrefetchUnderEvictionPressureIsThrottledAndCorrect) {
   EXPECT_LE(r_deep.stats.evictions, r_d1.stats.evictions);
   EXPECT_EQ(std::memcmp(&r_deep.value[0], &plain.value[0], sizeof(float)), 0);
   EXPECT_EQ(std::memcmp(&r_deep.value[1], &plain.value[1], sizeof(float)), 0);
+}
+
+// ---------------- a source that refuses every readahead ----------------
+
+/// The unstaged reader behind a source that allows one chunk of readahead
+/// but refuses every speculative begin, so the runtime must begin each
+/// chunk after the first on demand when its turn comes.
+class RefusingReader : public stage::ChunkSource {
+ public:
+  RefusingReader(mpi::Comm& comm, pfs::FileId file, std::uint64_t sieve_gap)
+      : inner_(comm, file, sieve_gap, nullptr) {}
+
+  bool begin(pfs::ByteExtent chunk,
+             const std::vector<romio::FlatRequest>& dreqs,
+             bool speculative) override {
+    if (speculative) {
+      ++refused;
+      return false;
+    }
+    ++demand_begins;
+    return inner_.begin(chunk, dreqs, false);
+  }
+  stage::SourceChunk take() override { return inner_.take(); }
+  void release() override { inner_.release(); }
+  std::unique_ptr<stage::ChunkSource> aux() override { return inner_.aux(); }
+  int readahead() const override { return 1; }
+
+  int refused = 0;
+  int demand_begins = 0;
+
+ private:
+  stage::DirectReader inner_;
+};
+
+struct RefusalRun {
+  std::vector<core::CcOutput> out;  // per rank
+  std::vector<int> refused;         // per rank
+  std::vector<int> demand_begins;   // per rank
+  int n_iters = 0;
+  std::vector<int> aggregators;
+};
+
+/// One pipelined CC sum over make_ds's variable with 4 KB chunks, through
+/// a RefusingReader or, with `refuse` false, the runtime's own unstaged
+/// source.
+RefusalRun run_refusing(bool refuse) {
+  mpi::Runtime rt(small_machine(), kProcs);
+  auto ds = make_ds(rt.fs(), {64, 16, 16});
+  RefusalRun res;
+  res.out.resize(kProcs);
+  res.refused.assign(kProcs, 0);
+  res.demand_begins.assign(kProcs, 0);
+  rt.run([&](mpi::Comm& c) {
+    core::ObjectIO io;
+    io.var = ds.var("v");
+    io.start = {0, static_cast<std::uint64_t>(2 * c.rank()), 0};
+    io.count = {64, 2, 16};
+    io.op = mpi::Op::sum();
+    io.hints.cb_buffer_size = 4096;
+    const romio::Hints hints = core::detail::cc_hints(io, sizeof(float));
+    ASSERT_TRUE(hints.pipelined);
+    const romio::TwoPhasePlan plan = romio::build_plan(
+        c, ds.slab_request(io.var, io.start, io.count), hints);
+    RefusingReader src(c, ds.file(), hints.sieve_gap);
+    core::RunOptions ropt;
+    if (refuse) ropt.source = &src;
+    const auto r = static_cast<std::size_t>(c.rank());
+    core::collective_compute_with_plan(c, ds, io, plan, res.out[r], ropt);
+    res.refused[r] = src.refused;
+    res.demand_begins[r] = src.demand_begins;
+    if (c.rank() == 0) {
+      res.n_iters = plan.n_iters;
+      res.aggregators = plan.aggregators;
+    }
+  });
+  return res;
+}
+
+TEST(Staging, RefusedReadaheadIsDemandReadBitIdentically) {
+  const RefusalRun refused = run_refusing(true);
+  const RefusalRun plain = run_refusing(false);
+  ASSERT_GE(refused.n_iters, 3);
+  ASSERT_FALSE(refused.aggregators.empty());
+  // Every chunk after an aggregator's first was refused as a readahead and
+  // begun on demand at its turn.
+  for (const int a : refused.aggregators) {
+    const auto i = static_cast<std::size_t>(a);
+    EXPECT_EQ(refused.refused[i], refused.n_iters - 1) << "aggregator " << a;
+    EXPECT_EQ(refused.demand_begins[i], refused.n_iters) << "aggregator " << a;
+  }
+  ASSERT_TRUE(refused.out[0].has_global);
+  ASSERT_TRUE(plain.out[0].has_global);
+  EXPECT_EQ(std::memcmp(refused.out[0].global, plain.out[0].global, 8), 0);
+  for (int p = 0; p < kProcs; ++p) {
+    const auto i = static_cast<std::size_t>(p);
+    EXPECT_EQ(refused.out[i].has_mine, plain.out[i].has_mine) << "rank " << p;
+    EXPECT_EQ(std::memcmp(refused.out[i].mine, plain.out[i].mine, 8), 0)
+        << "rank " << p;
+  }
 }
 
 // ---------------- prefetch raced against an aggregator crash -------------
