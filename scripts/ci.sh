@@ -4,10 +4,11 @@
 # again under the MPI correctness checker (COLCOM_CHECK=1 strict) -> the
 # benchmark smoke run, the ext_* bench smokes and the virtual-time golden
 # gate over the BENCH_*.json files, then an optional -Werror + ASan/UBSan
-# pass over the trace/prof tests, Accumulator and the file-store suites
-# (pfs, ncio, wrf), a budgeted CHK-EXPLORE schedule-exploration stage, and
-# a chaos stage running the fault suites under the sanitizers with several
-# seeds — also under the correctness checker.
+# pass over the trace/prof tests, Accumulator, the file-store suites
+# (pfs, ncio, wrf) and the wire-image fuzz (test_wire), a budgeted
+# CHK-EXPLORE schedule-exploration stage, and a chaos stage running the
+# fault suites under the sanitizers with several seeds — also under the
+# correctness checker.
 #
 # Usage: scripts/ci.sh [--fast] [--no-sanitize] [--no-chaos] [--no-tidy]
 #                      [chaos]
@@ -239,9 +240,10 @@ if [[ $SANITIZE -eq 1 ]]; then
   configure_asan
   step "sanitizer build (-Werror + ASan/UBSan)"
   cmake --build "$BUILD_DIR-asan" -j "$(nproc)" \
-    --target test_trace test_prof test_core test_pfs test_ncio test_wrf
+    --target test_trace test_prof test_core test_pfs test_ncio test_wrf \
+    test_wire
 
-  step "sanitizer run (trace + prof tests, Accumulator, file stores)"
+  step "sanitizer run (trace + prof tests, Accumulator, file stores, wire)"
   sanitizer_env
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_trace"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_prof"
@@ -250,6 +252,10 @@ if [[ $SANITIZE -eq 1 ]]; then
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_pfs"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_ncio"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_wrf"
+  # The seeded mutation fuzz over every byte image read back through
+  # fault/wire.hpp: each mutant decodes exactly or fails as data_corrupt,
+  # with no sanitizer report (well under 30 s).
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_wire"
   # Accumulator keeps a pointer to its mpi::Op (binding a temporary is a
   # compile error); this run guards the lifetime of the named ones.
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_core" \

@@ -30,6 +30,11 @@ Rules
                 raw negative literal of tag magnitude anywhere else collides
                 silently and defeats the tag-registry diagnostics. The
                 constexpr definition line itself is exempt.
+  wire-codec    byte images read back by another party (plans, requests,
+                mid-state, checkpoints, dataset headers) go through the one
+                bounded codec in src/fault/wire.hpp: a local get_u64 /
+                put_u64 or a take<T> byte reader defined anywhere else in
+                src/ is an unbounded copy of it.
 
 A finding on a line carrying `// lint: allow(<rule>)` is waived.
 
@@ -74,6 +79,14 @@ CONSTEXPR_DEF = re.compile(r"\bconstexpr\b")
 # The prototype/definition lines carry the return type and are exempt.
 FNV1A_CALL = re.compile(r"\bfnv1a\s*\(")
 FNV1A_DECL = re.compile(r"\bstd::uint64_t\s+fnv1a\s*\(")
+
+# A local byte codec outside fault/wire.hpp (see wire-codec above): a
+# get_u64 / put_u64 defined after its return type, or any take<T>.
+LOCAL_CODEC = re.compile(
+    r"^\s*(?!return\b)(?:[\w:<>]+[\s*&]+)+(get_u64|put_u64)\s*\("
+    r"|\btake\s*<"
+)
+WIRE_HPP = Path("src") / "fault" / "wire.hpp"
 
 LINE_COMMENT = re.compile(r"//.*$")
 STRING = re.compile(r'"(\\.|[^"\\])*"')
@@ -146,6 +159,16 @@ def lint_file(path: Path, src_root: Path, findings: list) -> None:
                 (rel, i, "raw-fnv1a",
                  "raw fnv1a call outside src/integrity/ (use "
                  "integrity::checksum / integrity::Hasher)")
+            )
+        if (
+            rel != WIRE_HPP
+            and LOCAL_CODEC.search(code)
+            and not waived(raw, "wire-codec")
+        ):
+            findings.append(
+                (rel, i, "wire-codec",
+                 "local byte codec (use fault::WireWriter / WireReader "
+                 "from fault/wire.hpp)")
             )
         if (
             RAW_TAG.search(code)

@@ -1,12 +1,13 @@
 #include "core/iterative.hpp"
 
-#include <cstring>
-#include <span>
+#include <bit>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "check/check.hpp"
 #include "fault/chaos.hpp"
+#include "fault/wire.hpp"
 #include "integrity/integrity.hpp"
 #include "mpi/runtime.hpp"
 #include "stage/stage.hpp"
@@ -15,23 +16,6 @@
 namespace colcom::core {
 
 namespace {
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint64_t get_u64(std::span<const std::byte> bytes, std::size_t& pos) {
-  COLCOM_EXPECT(pos + 8 <= bytes.size());
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(bytes[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos += 8;
-  return v;
-}
 
 // Checkpoint slot framing: [payload_len:8][payload][magic:8][seq:8][sum:8].
 // The trailer makes each generation self-verifying; the magic distinguishes
@@ -55,16 +39,19 @@ CkptSlot read_ckpt_slot(mpi::Comm& comm, pfs::FileId file, std::uint64_t off,
   pfs::Pfs& fs = comm.runtime().fs();
   CkptSlot s;
   const std::uint64_t fsize = fs.file_size(file);
-  if (off + 8 > fsize) return s;
+  if (fsize < 8 || off > fsize - 8) return s;
   check::Checker* chk = check::Checker::current();
   std::vector<std::byte> head(8);
   if (chk != nullptr) {
     chk->on_stage_read(comm.rank(), file.index, off, head.size());
   }
   fs.read_async(file, off, head).wait();
-  std::size_t pos = 0;
-  const std::uint64_t len = get_u64(head, pos);
-  if (len == 0 || off + 8 + len + kCkptTrailerBytes > fsize) return s;
+  const std::uint64_t len =
+      fault::WireReader(head, fault::Layer::core, "checkpoint slot")
+          .get<std::uint64_t>();
+  // By subtraction, so a length word near 2^64 cannot wrap into range.
+  const std::uint64_t room = fsize - off - 8;
+  if (len == 0 || len > room || room - len < kCkptTrailerBytes) return s;
   s.payload.resize(len);
   std::vector<std::byte> trailer(kCkptTrailerBytes);
   if (chk != nullptr) {
@@ -74,11 +61,11 @@ CkptSlot read_ckpt_slot(mpi::Comm& comm, pfs::FileId file, std::uint64_t off,
   }
   fs.read_async(file, off + 8, s.payload).wait();
   fs.read_async(file, off + 8 + len, trailer).wait();
-  pos = 0;
-  if (get_u64(trailer, pos) != IterativeComputer::kCheckpointMagic) return s;
+  fault::WireReader t(trailer, fault::Layer::core, "checkpoint trailer");
+  if (t.get<std::uint64_t>() != IterativeComputer::kCheckpointMagic) return s;
   s.present = true;
-  s.seq = get_u64(trailer, pos);
-  const std::uint64_t want = get_u64(trailer, pos);
+  s.seq = t.get<std::uint64_t>();
+  const std::uint64_t want = t.get<std::uint64_t>();
   fault::Injector* fi = comm.runtime().chaos();
   if (inject && fi != nullptr &&
       fi->schedule().corrupt_extent(3, static_cast<std::uint64_t>(file.index),
@@ -143,63 +130,40 @@ IterativeComputer::IterativeComputer(mpi::Comm& comm,
 
   // Decode the image: no collectives, no plan rebuild — the whole point of
   // restart is skipping the offset-list exchange.
-  const std::span<const std::byte> bytes(ckpt.bytes);
-  std::size_t pos = 0;
-  steps_ = static_cast<int>(get_u64(bytes, pos));
-  const std::uint64_t cost_bits = get_u64(bytes, pos);
-  std::memcpy(&plan_cost_s_, &cost_bits, 8);
-  const bool has_running = get_u64(bytes, pos) != 0;
-  const std::uint64_t value_bits = get_u64(bytes, pos);
-  if (has_running) {
-    unsigned char value[8];
-    std::memcpy(value, &value_bits, 8);
-    running_.combine_value(value);
-  }
-  const std::uint64_t plan_len = get_u64(bytes, pos);
-  COLCOM_EXPECT(pos + plan_len <= bytes.size());
-  plan0_ = romio::TwoPhasePlan::deserialize(bytes.subspan(pos, plan_len));
-  pos += plan_len;
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  fault::WireReader r(ckpt.bytes, fault::Layer::core, "checkpoint");
+  steps_ = static_cast<int>(r.at_most(kIntMax, "step count"));
+  plan_cost_s_ = std::bit_cast<double>(r.get<std::uint64_t>());
+  running_.decode(r);
+  plan0_ = romio::TwoPhasePlan::deserialize(r.bytes(r.get<std::uint64_t>()));
   // Mid-analysis state of an interrupted step (absent in whole-step
   // checkpoints).
-  if (get_u64(bytes, pos) != 0) {
-    mid_t_ = get_u64(bytes, pos);
-    mid_upto_ = static_cast<int>(get_u64(bytes, pos));
-    const std::uint64_t mid_len = get_u64(bytes, pos);
-    COLCOM_EXPECT(pos + mid_len <= bytes.size());
-    mid_state_.assign(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                      bytes.begin() + static_cast<std::ptrdiff_t>(pos + mid_len));
-    pos += mid_len;
+  if (r.at_most(1, "mid flag") != 0) {
+    mid_t_ = r.get<std::uint64_t>();
+    mid_upto_ = static_cast<int>(r.at_most(kIntMax, "mid cut"));
+    const auto mid = r.bytes(r.get<std::uint64_t>());
+    mid_state_.assign(mid.begin(), mid.end());
   }
-  COLCOM_EXPECT_MSG(pos == bytes.size(), "trailing bytes in checkpoint");
+  r.done();
 
   // Charge the deserialization as a memory-bandwidth scan of the image.
-  comm.overhead(static_cast<double>(bytes.size()) /
+  comm.overhead(static_cast<double>(ckpt.bytes.size()) /
                 comm.runtime().config().memcpy_bw);
   if (fault::Injector* fi = comm.runtime().chaos()) fi->note_restore();
 }
 
 IterativeComputer::Checkpoint IterativeComputer::checkpoint() {
   Checkpoint ck;
-  put_u64(ck.bytes, static_cast<std::uint64_t>(steps_));
-  std::uint64_t cost_bits = 0;
-  std::memcpy(&cost_bits, &plan_cost_s_, 8);
-  put_u64(ck.bytes, cost_bits);
-  put_u64(ck.bytes, running_.empty() ? 0 : 1);
-  std::uint64_t value_bits = 0;
-  if (!running_.empty()) {
-    std::memcpy(&value_bits, running_.value(),
-                mpi::prim_size(running_.prim()));
-  }
-  put_u64(ck.bytes, value_bits);
+  fault::WireWriter w(ck.bytes);
+  w.put(static_cast<std::uint64_t>(steps_));
+  w.put(std::bit_cast<std::uint64_t>(plan_cost_s_));
+  running_.encode(w);
   const std::vector<std::byte> plan_wire = plan0_.serialize();
-  put_u64(ck.bytes, plan_wire.size());
-  ck.bytes.insert(ck.bytes.end(), plan_wire.begin(), plan_wire.end());
-  put_u64(ck.bytes, mid_upto_ >= 0 ? 1 : 0);
+  w.put<std::uint64_t>(plan_wire.size()).bytes(plan_wire);
+  w.put<std::uint64_t>(mid_upto_ >= 0 ? 1 : 0);
   if (mid_upto_ >= 0) {
-    put_u64(ck.bytes, mid_t_);
-    put_u64(ck.bytes, static_cast<std::uint64_t>(mid_upto_));
-    put_u64(ck.bytes, mid_state_.size());
-    ck.bytes.insert(ck.bytes.end(), mid_state_.begin(), mid_state_.end());
+    w.put(mid_t_).put(static_cast<std::uint64_t>(mid_upto_));
+    w.put<std::uint64_t>(mid_state_.size()).bytes(mid_state_);
   }
 
   // Charge the serialization as a memory-bandwidth scan of the image.
@@ -288,11 +252,12 @@ std::uint64_t IterativeComputer::persist_checkpoint(pfs::FileId file,
   const std::uint64_t sum = integrity::checksum(ck.bytes);
   std::vector<std::byte> image;
   image.reserve(8 + ck.bytes.size() + kCkptTrailerBytes);
-  put_u64(image, ck.bytes.size());
-  image.insert(image.end(), ck.bytes.begin(), ck.bytes.end());
-  put_u64(image, IterativeComputer::kCheckpointMagic);
-  put_u64(image, seq);
-  put_u64(image, sum);
+  fault::WireWriter(image)
+      .put<std::uint64_t>(ck.bytes.size())
+      .bytes(ck.bytes)
+      .put(IterativeComputer::kCheckpointMagic)
+      .put(seq)
+      .put(sum);
   const std::uint64_t slot = seq % static_cast<std::uint64_t>(n_gens);
   COLCOM_EXPECT_MSG(n_gens == 1 || image.size() <= slot_stride,
                     "checkpoint image exceeds the generation slot stride");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "fault/wire.hpp"
 #include "util/assert.hpp"
 
 namespace colcom::core {
@@ -76,6 +77,23 @@ Accumulator::Accumulator(const mpi::Op& op, mpi::Prim p)
 const void* Accumulator::value() const {
   COLCOM_EXPECT_MSG(!empty_, "empty accumulator has no value");
   return value_;
+}
+
+void Accumulator::encode(fault::WireWriter& w) const {
+  std::uint64_t bits = 0;
+  if (!empty_) std::memcpy(&bits, value_, mpi::prim_size(prim_));
+  w.put<std::uint64_t>(empty_ ? 0 : 1).put(bits);
+}
+
+void Accumulator::decode(fault::WireReader& r) {
+  empty_ = r.at_most(1, "value flag") == 0;
+  const std::uint64_t bits = r.get<std::uint64_t>();
+  const std::uint64_t es = mpi::prim_size(prim_);
+  if ((empty_ && (op_->has_identity() || bits != 0)) ||
+      (es < 8 && (bits >> (8 * es)) != 0)) {
+    r.fail("a value this accumulator cannot hold");
+  }
+  std::memcpy(value_, &bits, es);
 }
 
 void Accumulator::combine_value(const void* v) {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "fault/wire.hpp"
 #include "mpi/op.hpp"
 
 namespace colcom::core {
@@ -36,6 +37,14 @@ class Accumulator {
   /// empty.
   const void* value() const;
   mpi::Prim prim() const { return prim_; }
+
+  /// Appends the (has-value flag, value bits) word pair an accumulator
+  /// takes in mid-analysis state and checkpoint images.
+  void encode(fault::WireWriter& w) const;
+  /// Restores onto a fresh accumulator exactly what encode() wrote.
+  /// Rejects what it cannot hold: a flag other than 0/1, no value for an op
+  /// with an identity, value bits wider than the primitive.
+  void decode(fault::WireReader& r);
 
   /// Copies the value out as T (must match prim).
   template <typename T>

@@ -11,6 +11,7 @@
 #include "check/check.hpp"
 #include "core/logical.hpp"
 #include "fault/chaos.hpp"
+#include "fault/wire.hpp"
 #include "integrity/integrity.hpp"
 #include "pfs/fault.hpp"
 #include "mpi/ft.hpp"
@@ -97,78 +98,37 @@ struct FinalRecord {
   unsigned char value[8] = {};
 };
 
-// --- mid-analysis state wire helpers (little-endian u64 stream) ---
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint64_t get_u64(std::span<const std::byte> bytes, std::size_t& pos) {
-  COLCOM_EXPECT(pos + 8 <= bytes.size());
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(bytes[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos += 8;
-  return v;
-}
-
-std::uint64_t acc_bits(const Accumulator& acc) {
-  std::uint64_t bits = 0;
-  if (!acc.empty()) {
-    std::memcpy(&bits, acc.value(), mpi::prim_size(acc.prim()));
-  }
-  return bits;
-}
-
 /// Serializes the per-chunk accumulator state a partial run parks: this
 /// rank's own-subset accumulator plus (root, all_to_one only) the per-rank
-/// reconstruction arrays.
+/// reconstruction arrays. mid_state_max_bytes() bounds its size.
 std::vector<std::byte> encode_mid(const Accumulator& my_acc,
                                   const std::vector<Accumulator>& per_rank,
                                   const std::vector<std::uint64_t>& elems) {
   std::vector<std::byte> out;
-  put_u64(out, my_acc.empty() ? 0 : 1);
-  put_u64(out, acc_bits(my_acc));
-  put_u64(out, per_rank.size());
+  fault::WireWriter w(out);
+  my_acc.encode(w);
+  w.put<std::uint64_t>(per_rank.size());
   for (std::size_t r = 0; r < per_rank.size(); ++r) {
-    put_u64(out, per_rank[r].empty() ? 0 : 1);
-    put_u64(out, acc_bits(per_rank[r]));
-    put_u64(out, elems[r]);
+    per_rank[r].encode(w);
+    w.put(elems[r]);
   }
   return out;
 }
 
-/// Inverse of encode_mid onto freshly seeded accumulators (combine_value,
-/// the same restore idiom IterativeComputer uses for its running value).
+/// Inverse of encode_mid onto freshly seeded accumulators.
 void decode_mid(std::span<const std::byte> bytes, Accumulator& my_acc,
                 std::vector<Accumulator>& per_rank,
                 std::vector<std::uint64_t>& elems) {
-  std::size_t pos = 0;
-  const bool has_mine = get_u64(bytes, pos) != 0;
-  const std::uint64_t mine_bits = get_u64(bytes, pos);
-  if (has_mine) {
-    unsigned char value[8];
-    std::memcpy(value, &mine_bits, 8);
-    my_acc.combine_value(value);
+  fault::WireReader r(bytes, fault::Layer::core, "mid-analysis state");
+  my_acc.decode(r);
+  if (r.get<std::uint64_t>() != per_rank.size()) {
+    r.fail("rank count does not match this run");
   }
-  const std::uint64_t nper = get_u64(bytes, pos);
-  COLCOM_EXPECT_MSG(nper == per_rank.size(),
-                    "mid-analysis state shape does not match this run");
-  for (std::size_t r = 0; r < per_rank.size(); ++r) {
-    const bool has = get_u64(bytes, pos) != 0;
-    const std::uint64_t bits = get_u64(bytes, pos);
-    elems[r] = get_u64(bytes, pos);
-    if (has) {
-      unsigned char value[8];
-      std::memcpy(value, &bits, 8);
-      per_rank[r].combine_value(value);
-    }
+  for (std::size_t i = 0; i < per_rank.size(); ++i) {
+    per_rank[i].decode(r);
+    elems[i] = r.get<std::uint64_t>();
   }
-  COLCOM_EXPECT_MSG(pos == bytes.size(), "trailing bytes in mid-state");
+  r.done();
 }
 
 void fold_final(mpi::Comm& comm, const ObjectIO& obj, mpi::Prim prim,

@@ -105,7 +105,7 @@ struct RunOptions {
 
   /// Mid-analysis accumulator state (per-rank, opaque bytes): read when
   /// begin_iter > 0, written when end_iter cuts the run short. Must be
-  /// non-null for any partial run.
+  /// non-null for any partial run. At most mid_state_max_bytes(comm size).
   std::vector<std::byte>* mid = nullptr;
 
   /// Base of the agreement-epoch block this run may use (crash watches,
@@ -125,6 +125,13 @@ struct RunOptions {
   /// Off preserves the legacy fail-stop behavior bit for bit.
   bool recover = false;
 };
+
+/// Worst-case size of a RunOptions::mid image on a world of `nprocs`
+/// ranks: the rank's own accumulator (flag, value), a rank count and, on an
+/// all_to_one root, (flag, value, elements) per rank.
+constexpr std::uint64_t mid_state_max_bytes(int nprocs) {
+  return 24 + 24 * static_cast<std::uint64_t>(nprocs);
+}
 
 /// Runs collective computing over a caller-provided two-phase plan (built
 /// with detail::cc_hints for an object of the same shape) — the fast path

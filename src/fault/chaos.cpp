@@ -19,6 +19,7 @@ const char* to_string(Layer layer) {
     case Layer::core: return "core";
     case Layer::stream: return "stream";
     case Layer::stage: return "stage";
+    case Layer::ncio: return "ncio";
   }
   return "?";
 }

@@ -14,7 +14,7 @@
 namespace colcom::fault {
 
 /// Which layer of the stack detected the fault.
-enum class Layer { des, net, mpi, pfs, romio, core, stream, stage };
+enum class Layer { des, net, mpi, pfs, romio, core, stream, stage, ncio };
 
 /// What went wrong.
 enum class Kind {

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "fault/wire.hpp"
 #include "util/assert.hpp"
 
 namespace colcom::ncio {
@@ -83,54 +84,40 @@ class RegionStore final : public pfs::Store {
   std::uint64_t size_ = 0;
 };
 
-template <typename T>
-void put(std::vector<std::byte>& out, const T& v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-T take(std::span<const std::byte>& in) {
-  COLCOM_EXPECT(in.size() >= sizeof(T));
-  T v;
-  std::memcpy(&v, in.data(), sizeof(T));
-  in = in.subspan(sizeof(T));
-  return v;
-}
-
 std::vector<std::byte> serialize_header(const std::vector<VarInfo>& vars) {
   std::vector<std::byte> out;
-  put(out, kMagic);
-  put(out, kVersion);
-  put(out, static_cast<std::uint32_t>(vars.size()));
+  fault::WireWriter w(out);
+  w.put(kMagic).put(kVersion).put(static_cast<std::uint32_t>(vars.size()));
   for (const auto& v : vars) {
-    put(out, static_cast<std::uint32_t>(v.name.size()));
-    const auto* p = reinterpret_cast<const std::byte*>(v.name.data());
-    out.insert(out.end(), p, p + v.name.size());
-    put(out, static_cast<std::uint8_t>(v.prim));
-    put(out, static_cast<std::uint32_t>(v.dims.size()));
-    for (auto d : v.dims) put(out, d);
-    put(out, v.file_offset);
+    w.put(static_cast<std::uint32_t>(v.name.size()))
+        .bytes(std::as_bytes(std::span(v.name)))
+        .put(static_cast<std::uint8_t>(v.prim))
+        .put(static_cast<std::uint32_t>(v.dims.size()));
+    for (auto d : v.dims) w.put(d);
+    w.put(v.file_offset);
   }
   return out;
 }
 
+/// Parses the header at the start of `in`; the bytes after it (alignment
+/// padding, variable data) are not part of it.
 std::vector<VarInfo> parse_header(std::span<const std::byte> in) {
-  COLCOM_EXPECT_MSG(take<std::uint32_t>(in) == kMagic, "bad dataset magic");
-  COLCOM_EXPECT_MSG(take<std::uint32_t>(in) == kVersion,
-                    "unsupported dataset version");
-  const auto nvars = take<std::uint32_t>(in);
-  std::vector<VarInfo> vars(nvars);
+  fault::WireReader r(in, fault::Layer::ncio, "dataset header");
+  if (r.get<std::uint32_t>() != kMagic) r.fail("bad magic");
+  if (r.get<std::uint32_t>() != kVersion) r.fail("unsupported version");
+  // A variable takes at least its name length, prim, rank and offset.
+  std::vector<VarInfo> vars(r.count<std::uint32_t>(17, "variable"));
   for (auto& v : vars) {
-    const auto name_len = take<std::uint32_t>(in);
-    COLCOM_EXPECT(in.size() >= name_len);
-    v.name.assign(reinterpret_cast<const char*>(in.data()), name_len);
-    in = in.subspan(name_len);
-    v.prim = static_cast<mpi::Prim>(take<std::uint8_t>(in));
-    const auto ndims = take<std::uint32_t>(in);
-    v.dims.resize(ndims);
-    for (auto& d : v.dims) d = take<std::uint64_t>(in);
-    v.file_offset = take<std::uint64_t>(in);
+    const auto name = r.bytes(r.get<std::uint32_t>());
+    v.name.assign(reinterpret_cast<const char*>(name.data()), name.size());
+    const auto prim = r.get<std::uint8_t>();
+    if (prim > static_cast<std::uint8_t>(mpi::Prim::f64)) {
+      r.fail("unknown element type " + std::to_string(prim));
+    }
+    v.prim = static_cast<mpi::Prim>(prim);
+    v.dims.resize(r.count<std::uint32_t>(8, "dimension"));
+    for (auto& d : v.dims) d = r.get<std::uint64_t>();
+    v.file_offset = r.get<std::uint64_t>();
   }
   return vars;
 }

@@ -6,6 +6,7 @@
 
 #include "check/check.hpp"
 #include "fault/chaos.hpp"
+#include "fault/wire.hpp"
 #include "mpi/ft.hpp"
 #include "mpi/world.hpp"
 #include "trace/trace.hpp"
@@ -67,26 +68,40 @@ std::string hint_describe(const Hints& h) {
          " context=" + std::to_string(h.context);
 }
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+// Rounds the global range outward so domain boundaries land on element
+// borders, then splits it evenly (optionally stripe-aligned) into `naggs`
+// file domains and sizes the iteration count.
+void partition_domains(TwoPhasePlan& plan, const Hints& hints, int naggs) {
+  if (hints.fd_alignment > 1) {
+    plan.gmin -= plan.gmin % hints.fd_alignment;
+    plan.gmax += (hints.fd_alignment - plan.gmax % hints.fd_alignment) %
+                 hints.fd_alignment;
+    COLCOM_EXPECT_MSG(hints.cb_buffer_size % hints.fd_alignment == 0,
+                      "cb_buffer_size must be a multiple of fd_alignment");
   }
-}
 
-[[noreturn]] void corrupt_plan(const std::string& what) {
-  throw fault::Error(fault::Layer::romio, fault::Kind::data_corrupt,
-                     "plan image: " + what);
-}
-
-std::uint64_t get_u64(std::span<const std::byte> bytes, std::size_t& pos) {
-  if (bytes.size() - pos < 8) corrupt_plan("truncated");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(bytes[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
+  const std::uint64_t len = plan.gmax - plan.gmin;
+  std::uint64_t per = (len + static_cast<std::uint64_t>(naggs) - 1) /
+                      static_cast<std::uint64_t>(naggs);
+  if (hints.stripe_aligned_fd && hints.stripe_size > 0) {
+    per = ((per + hints.stripe_size - 1) / hints.stripe_size) *
+          hints.stripe_size;
   }
-  pos += 8;
-  return v;
+  if (hints.fd_alignment > 1) {
+    per = ((per + hints.fd_alignment - 1) / hints.fd_alignment) *
+          hints.fd_alignment;
+  }
+  per = std::max<std::uint64_t>(per, 1);
+  std::uint64_t max_domain = 0;
+  for (int a = 0; a < naggs; ++a) {
+    const std::uint64_t b =
+        std::min(plan.gmax, plan.gmin + static_cast<std::uint64_t>(a) * per);
+    const std::uint64_t e = std::min(plan.gmax, b + per);
+    plan.fd_begin.push_back(b);
+    plan.fd_end.push_back(e);
+    max_domain = std::max(max_domain, e - b);
+  }
+  plan.n_iters = static_cast<int>((max_domain + plan.cb - 1) / plan.cb);
 }
 
 // Receives one FlatRequest from every rank of `comm` on `tag`, in rank
@@ -172,74 +187,51 @@ TwoPhasePlan TwoPhasePlan::shifted(std::int64_t delta) const {
 
 std::vector<std::byte> TwoPhasePlan::serialize() const {
   std::vector<std::byte> out;
-  put_u64(out, gmin);
-  put_u64(out, gmax);
-  put_u64(out, static_cast<std::uint64_t>(n_iters));
-  put_u64(out, cb);
-  put_u64(out, aggregators.size());
-  for (const int a : aggregators) {
-    put_u64(out, static_cast<std::uint64_t>(a));
-  }
-  for (const std::uint64_t b : fd_begin) put_u64(out, b);
-  for (const std::uint64_t e : fd_end) put_u64(out, e);
-  put_u64(out, domain_requests.size());
-  for (const FlatRequest& req : domain_requests) {
-    const std::vector<std::byte> wire = req.serialize();
-    put_u64(out, wire.size());
-    out.insert(out.end(), wire.begin(), wire.end());
-  }
-  put_u64(out, all_requests.size());
-  for (const FlatRequest& req : all_requests) {
-    const std::vector<std::byte> wire = req.serialize();
-    put_u64(out, wire.size());
-    out.insert(out.end(), wire.begin(), wire.end());
+  fault::WireWriter w(out);
+  w.put(gmin).put(gmax).put(static_cast<std::uint64_t>(n_iters)).put(cb);
+  w.put<std::uint64_t>(aggregators.size());
+  for (const int a : aggregators) w.put(static_cast<std::uint64_t>(a));
+  for (const std::uint64_t b : fd_begin) w.put(b);
+  for (const std::uint64_t e : fd_end) w.put(e);
+  for (const auto* reqs : {&domain_requests, &all_requests}) {
+    w.put<std::uint64_t>(reqs->size());
+    for (const FlatRequest& req : *reqs) {
+      const std::vector<std::byte> wire = req.serialize();
+      w.put<std::uint64_t>(wire.size()).bytes(wire);
+    }
   }
   return out;
 }
 
 TwoPhasePlan TwoPhasePlan::deserialize(std::span<const std::byte> bytes) {
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  fault::WireReader r(bytes, fault::Layer::romio, "plan image");
   TwoPhasePlan p;
-  std::size_t pos = 0;
-  p.gmin = get_u64(bytes, pos);
-  p.gmax = get_u64(bytes, pos);
-  p.n_iters = static_cast<int>(get_u64(bytes, pos));
-  p.cb = get_u64(bytes, pos);
-  // Every count is checked against the bytes left before anything is
-  // allocated for it, by division so a huge count cannot wrap.
-  auto count = [&](std::uint64_t min_bytes_each, const char* what) {
-    const std::uint64_t n = get_u64(bytes, pos);
-    if (n > (bytes.size() - pos) / min_bytes_each) {
-      corrupt_plan(std::string(what) + " count " + std::to_string(n) +
-                   " exceeds the image");
-    }
-    return n;
-  };
+  p.gmin = r.get<std::uint64_t>();
+  p.gmax = r.get<std::uint64_t>();
+  p.n_iters = static_cast<int>(r.at_most(kIntMax, "n_iters"));
+  p.cb = r.get<std::uint64_t>();
+  const std::uint64_t naggs = r.count(24, "aggregator");  // rank, begin, end
+  p.aggregators.resize(naggs);
+  p.fd_begin.resize(naggs);
+  p.fd_end.resize(naggs);
+  for (int& a : p.aggregators) {
+    a = static_cast<int>(r.at_most(kIntMax, "aggregator rank"));
+  }
+  for (std::uint64_t& b : p.fd_begin) b = r.get<std::uint64_t>();
+  for (std::size_t i = 0; i < naggs; ++i) {
+    p.fd_end[i] = r.get<std::uint64_t>();
+    if (p.fd_end[i] < p.fd_begin[i]) r.fail("file domain ends before begin");
+  }
   // Each nested request: its wire length, then the wire (at least its own
   // 8-byte extent count).
-  auto requests = [&](std::vector<FlatRequest>& out, const char* what) {
-    const std::uint64_t nreqs = count(16, what);
-    out.reserve(nreqs);
-    for (std::uint64_t i = 0; i < nreqs; ++i) {
-      const std::uint64_t n = get_u64(bytes, pos);
-      if (n > bytes.size() - pos) corrupt_plan("request overruns the image");
-      out.push_back(FlatRequest::deserialize(bytes.subspan(pos, n)));
-      pos += n;
+  for (auto* reqs : {&p.domain_requests, &p.all_requests}) {
+    reqs->resize(r.count(16, "request"));
+    for (FlatRequest& req : *reqs) {
+      req = FlatRequest::deserialize(r.bytes(r.get<std::uint64_t>()));
     }
-  };
-  const std::uint64_t naggs = count(24, "aggregators");  // rank, begin, end
-  p.aggregators.reserve(naggs);
-  for (std::uint64_t i = 0; i < naggs; ++i) {
-    p.aggregators.push_back(static_cast<int>(get_u64(bytes, pos)));
   }
-  for (std::uint64_t i = 0; i < naggs; ++i) {
-    p.fd_begin.push_back(get_u64(bytes, pos));
-  }
-  for (std::uint64_t i = 0; i < naggs; ++i) {
-    p.fd_end.push_back(get_u64(bytes, pos));
-  }
-  requests(p.domain_requests, "domain_requests");
-  requests(p.all_requests, "all_requests");
-  if (pos != bytes.size()) corrupt_plan("trailing bytes");
+  r.done();
   return p;
 }
 
@@ -279,15 +271,6 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
   }
   plan.gmin = static_cast<std::uint64_t>(gmin);
   plan.gmax = static_cast<std::uint64_t>(gmax);
-  if (hints.fd_alignment > 1) {
-    // Round the range outward so domain boundaries land on element borders.
-    plan.gmin -= plan.gmin % hints.fd_alignment;
-    plan.gmax += (hints.fd_alignment - plan.gmax % hints.fd_alignment) %
-                 hints.fd_alignment;
-    COLCOM_EXPECT_MSG(hints.cb_buffer_size % hints.fd_alignment == 0,
-                      "cb_buffer_size must be a multiple of fd_alignment");
-  }
-
   // Aggregator selection: cb_nodes ranks spread evenly (default: the first
   // rank of each compute node, ROMIO's one-aggregator-per-node default).
   // Under an installed chaos schedule, ranks already crashed at t=0 are
@@ -374,30 +357,7 @@ TwoPhasePlan build_plan(mpi::Comm& comm, const FlatRequest& mine,
     plan.aggregators = std::move(spaced);
   }
 
-  // Even file-domain partitioning (optionally stripe-aligned).
-  const std::uint64_t len = plan.gmax - plan.gmin;
-  std::uint64_t per = (len + static_cast<std::uint64_t>(naggs) - 1) /
-                      static_cast<std::uint64_t>(naggs);
-  if (hints.stripe_aligned_fd && hints.stripe_size > 0) {
-    per = ((per + hints.stripe_size - 1) / hints.stripe_size) *
-          hints.stripe_size;
-  }
-  if (hints.fd_alignment > 1) {
-    per = ((per + hints.fd_alignment - 1) / hints.fd_alignment) *
-          hints.fd_alignment;
-  }
-  per = std::max<std::uint64_t>(per, 1);
-  std::uint64_t max_domain = 0;
-  for (int a = 0; a < naggs; ++a) {
-    const std::uint64_t b =
-        std::min(plan.gmax, plan.gmin + static_cast<std::uint64_t>(a) * per);
-    const std::uint64_t e = std::min(plan.gmax, b + per);
-    plan.fd_begin.push_back(b);
-    plan.fd_end.push_back(e);
-    max_domain = std::max(max_domain, e - b);
-  }
-  plan.n_iters =
-      static_cast<int>((max_domain + plan.cb - 1) / plan.cb);
+  partition_domains(plan, hints, naggs);
 
   // Exchange access information: every rank ships the part of its offset
   // list that falls in each aggregator's file domain to that aggregator.
@@ -468,14 +428,6 @@ TwoPhasePlan build_plan_local(const std::vector<FlatRequest>& all_requests,
   }
   plan.gmin = static_cast<std::uint64_t>(gmin);
   plan.gmax = static_cast<std::uint64_t>(gmax);
-  if (hints.fd_alignment > 1) {
-    plan.gmin -= plan.gmin % hints.fd_alignment;
-    plan.gmax += (hints.fd_alignment - plan.gmax % hints.fd_alignment) %
-                 hints.fd_alignment;
-    COLCOM_EXPECT_MSG(hints.cb_buffer_size % hints.fd_alignment == 0,
-                      "cb_buffer_size must be a multiple of fd_alignment");
-  }
-
   // Spaced aggregator selection over the survivor pool — the same math as
   // build_plan's default placement with `survivors` as the alive pool.
   const std::vector<int>& pool = survivors;
@@ -489,29 +441,7 @@ TwoPhasePlan build_plan_local(const std::vector<FlatRequest>& all_requests,
         pool[static_cast<std::size_t>(std::min(a * spacing, npool - 1))]);
   }
 
-  // Even file-domain partitioning (same math as build_plan).
-  const std::uint64_t len = plan.gmax - plan.gmin;
-  std::uint64_t per = (len + static_cast<std::uint64_t>(naggs) - 1) /
-                      static_cast<std::uint64_t>(naggs);
-  if (hints.stripe_aligned_fd && hints.stripe_size > 0) {
-    per = ((per + hints.stripe_size - 1) / hints.stripe_size) *
-          hints.stripe_size;
-  }
-  if (hints.fd_alignment > 1) {
-    per = ((per + hints.fd_alignment - 1) / hints.fd_alignment) *
-          hints.fd_alignment;
-  }
-  per = std::max<std::uint64_t>(per, 1);
-  std::uint64_t max_domain = 0;
-  for (int a = 0; a < naggs; ++a) {
-    const std::uint64_t b =
-        std::min(plan.gmax, plan.gmin + static_cast<std::uint64_t>(a) * per);
-    const std::uint64_t e = std::min(plan.gmax, b + per);
-    plan.fd_begin.push_back(b);
-    plan.fd_end.push_back(e);
-    max_domain = std::max(max_domain, e - b);
-  }
-  plan.n_iters = static_cast<int>((max_domain + plan.cb - 1) / plan.cb);
+  partition_domains(plan, hints, naggs);
 
   // Replicated metadata: survivors' full requests everywhere (dead ranks
   // stay empty), so later aggregator deaths still recover via replan_local.

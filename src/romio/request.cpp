@@ -1,10 +1,8 @@
 #include "romio/request.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <string>
 
-#include "fault/fault.hpp"
+#include "fault/wire.hpp"
 #include "util/assert.hpp"
 
 namespace colcom::romio {
@@ -70,13 +68,11 @@ std::uint64_t FlatRequest::bytes_in(std::uint64_t lo, std::uint64_t hi) const {
 }
 
 std::vector<std::byte> FlatRequest::serialize() const {
-  std::vector<std::byte> wire(8 + extents_.size() * 16);
-  const std::uint64_t n = extents_.size();
-  std::memcpy(wire.data(), &n, 8);
-  for (std::size_t i = 0; i < extents_.size(); ++i) {
-    std::memcpy(wire.data() + 8 + i * 16, &extents_[i].offset, 8);
-    std::memcpy(wire.data() + 8 + i * 16 + 8, &extents_[i].length, 8);
-  }
+  std::vector<std::byte> wire;
+  wire.reserve(8 + extents_.size() * 16);
+  fault::WireWriter w(wire);
+  w.put<std::uint64_t>(extents_.size());
+  for (const auto& e : extents_) w.put(e.offset).put(e.length);
   return wire;
 }
 
@@ -93,20 +89,18 @@ FlatRequest FlatRequest::shifted(std::int64_t delta) const {
 }
 
 FlatRequest FlatRequest::deserialize(std::span<const std::byte> wire) {
-  // The extent count is checked against the bytes left, by division so a
-  // huge count cannot wrap, before anything is allocated for it.
-  std::uint64_t n = 0;
-  if (wire.size() >= 8) std::memcpy(&n, wire.data(), 8);
-  if (wire.size() < 8 || n > (wire.size() - 8) / 16) {
-    throw fault::Error(fault::Layer::romio, fault::Kind::data_corrupt,
-                       "request image of " + std::to_string(wire.size()) +
-                           " bytes cannot hold its extent count");
+  fault::WireReader r(wire, fault::Layer::romio, "request image");
+  std::vector<pfs::ByteExtent> ext(r.count(16, "extent"));
+  std::uint64_t prev_end = 0;
+  for (auto& e : ext) {
+    e.offset = r.get<std::uint64_t>();
+    e.length = r.get<std::uint64_t>();
+    if (e.length == 0 || e.offset < prev_end || e.length > ~e.offset) {
+      r.fail("extents must be non-empty, sorted and non-overlapping");
+    }
+    prev_end = e.end();
   }
-  std::vector<pfs::ByteExtent> ext(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::memcpy(&ext[i].offset, wire.data() + 8 + i * 16, 8);
-    std::memcpy(&ext[i].length, wire.data() + 8 + i * 16 + 8, 8);
-  }
+  r.done();
   return FlatRequest(std::move(ext));
 }
 

@@ -1,13 +1,13 @@
 #include "svc/svc.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "check/check.hpp"
 #include "des/completion.hpp"
 #include "fault/chaos.hpp"
+#include "fault/wire.hpp"
 #include "mpi/ft.hpp"
 #include "mpi/runtime.hpp"
 #include "trace/trace.hpp"
@@ -461,10 +461,8 @@ void ServiceContext::sync_clock() {
 }
 
 std::uint64_t ServiceContext::park_slot_bytes() const {
-  // encode_mid: a 3-word header plus (on an all_to_one root) three words
-  // per rank, length-prefixed in the slot; rounded to a 64-byte boundary.
-  const std::uint64_t worst =
-      8 + 24 + 24 * static_cast<std::uint64_t>(comm_->size());
+  // The length-prefixed worst-case mid, rounded to a 64-byte boundary.
+  const std::uint64_t worst = 8 + core::mid_state_max_bytes(comm_->size());
   return (worst + 63) / 64 * 64;
 }
 
@@ -474,11 +472,12 @@ void ServiceContext::persist_mid(const Job& j) {
   // staging area's write-behind, so the park rides the same coalescing and
   // flush paths as any application checkpoint.
   const std::uint64_t cap = park_slot_bytes();
-  const std::uint64_t len = j.mid.size();
-  COLCOM_EXPECT_MSG(8 + len <= cap, "parked mid exceeds its park-file slot");
-  std::vector<std::byte> img(cap, std::byte{0});
-  std::memcpy(img.data(), &len, sizeof(len));
-  std::memcpy(img.data() + 8, j.mid.data(), len);
+  COLCOM_EXPECT_MSG(8 + j.mid.size() <= cap,
+                    "parked mid exceeds its park-file slot");
+  std::vector<std::byte> img;
+  img.reserve(cap);
+  fault::WireWriter(img).put<std::uint64_t>(j.mid.size()).bytes(j.mid);
+  img.resize(cap);
   const std::uint64_t slot =
       (static_cast<std::uint64_t>(j.id) *
            static_cast<std::uint64_t>(comm_->size()) +
