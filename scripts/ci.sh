@@ -243,7 +243,7 @@ if [[ $SANITIZE -eq 1 ]]; then
     --target test_trace test_prof test_core test_pfs test_ncio test_wrf \
     test_wire
 
-  step "sanitizer run (trace + prof tests, Accumulator, file stores, wire)"
+  step "sanitizer run (trace + prof tests, core, file stores, wire)"
   sanitizer_env
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_trace"
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_prof"
@@ -256,10 +256,11 @@ if [[ $SANITIZE -eq 1 ]]; then
   # fault/wire.hpp: each mutant decodes exactly or fails as data_corrupt,
   # with no sanitizer report (well under 30 s).
   timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_wire"
-  # Accumulator keeps a pointer to its mpi::Op (binding a temporary is a
-  # compile error); this run guards the lifetime of the named ones.
-  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_core" \
-    --gtest_filter='Accumulator*'
+  # The whole core suite: Accumulator keeps a pointer to its mpi::Op
+  # (binding a temporary is a compile error), so this guards the lifetime
+  # of the named ones, and every user op of the final reduce must see
+  # aligned operands (UBSan).
+  timeout "$BUDGET" "$BUILD_DIR-asan/tests/test_core"
 
   # CHK-EXPLORE: bounded-budget schedule exploration of the 4-rank
   # ft-agreement and svc resubmit-from-mid worlds, plus the seeded-bug

@@ -157,7 +157,14 @@ void fold_final(mpi::Comm& comm, const ObjectIO& obj, mpi::Prim prim,
                   std::as_writable_bytes(std::span<FinalRecord>(&other, 1)));
         if (other.has_value != 0) {
           if (rec.has_value != 0) {
-            obj.op.apply(other.value, rec.value, 1, prim);
+            // The 9-byte wire record leaves `value` at offset 1: hand the
+            // user op aligned copies, as it may access them as `double`.
+            alignas(8) unsigned char in[8];
+            alignas(8) unsigned char inout[8];
+            std::memcpy(in, other.value, 8);
+            std::memcpy(inout, rec.value, 8);
+            obj.op.apply(in, inout, 1, prim);
+            std::memcpy(rec.value, inout, 8);
           } else {
             rec = other;
           }
@@ -280,17 +287,17 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
 
   // ---- fault machinery: aggregator-crash detection and absorption ----
   fault::Injector* const fi = comm.runtime().chaos();
-  // ft mode: the chaos schedule carries control-plane crash points, so
-  // ranks can die as *processes* mid-collective. Detection then runs over
-  // the fault-tolerant agreement protocol instead of an allreduce (which
-  // would hang on a dead member), and replans are the message-free
-  // replan_local (the metadata was replicated at plan time).
-  const bool ftmode = fi != nullptr && fi->schedule().has_crash_points();
-  const bool watch = (fi != nullptr && fi->watch_aggregators()) || ftmode;
-  // End-to-end recovery semantics (RunOptions::recover) only matter when
-  // processes can die mid-slice; without crash points the legacy paths
-  // already recover role crashes bit-identically on their own.
-  const bool recover = ropt.recover && ftmode;
+  // Every watched run detects deaths over the fault-tolerant agreement
+  // protocol (mpi::ft::agree). Recover mode: the chaos schedule carries
+  // crash points, so ranks can die as *processes* mid-collective. The plan
+  // then carries replicated requests (replans are the message-free
+  // replan_local), and an unsatisfiable run throws a structured
+  // fault::Error on EVERY alive rank — replicated via the agreement — so a
+  // scheduler can roll the job back to its parked mid and resubmit. Role
+  // crashes alone leave every process alive: they replan by
+  // replan_exchange and recover bit-identically without it.
+  const bool recover = fi != nullptr && fi->schedule().has_crash_points();
+  const bool watch = (fi != nullptr && fi->watch_aggregators()) || recover;
   // Per-attempt data-plane tags: per-pair FIFO would happily match a stale
   // in-flight message of a failed attempt to a resubmitted slice's receive,
   // so every attempt salts its tags into a disjoint block far below the
@@ -310,9 +317,8 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   // job back to its parked mid and resubmits with fresh tags and epochs.
   bool aborting = false;
   const int naggs = plan.aggregator_count();
-  // Crash reports travel as a bitset of 63-bit words (the sign bit stays
-  // clear), so any aggregator count works; each bit has a single owner, so
-  // a sum-allreduce over the words equals a bitwise OR with no carries.
+  // Crash reports travel as a bitset of 63-bit words, so any aggregator
+  // count works; the agreement ORs them over every alive rank.
   constexpr int kCrashBitsPerWord = 63;
   const int crash_words =
       std::max(1, (naggs + kCrashBitsPerWord - 1) / kCrashBitsPerWord);
@@ -366,6 +372,28 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   // the iteration's wait_all.
   const std::byte death_note{};
 
+  // Recover mode's structural impossibilities, derived purely from the
+  // agreed agg_dead / proc_dead state, so every alive rank throws the same
+  // error after the same agreement — structured failures the service can
+  // classify, never diverging aborts that would hang the survivors at the
+  // next agreement.
+  auto throw_if_unfinishable = [&] {
+    if (std::all_of(agg_dead.begin(), agg_dead.end(),
+                    [](char c) { return c != 0; })) {
+      throw fault::Error(fault::Layer::core, fault::Kind::unrecoverable,
+                         "every aggregator of this plan crashed");
+    }
+    if (a2one && proc_dead[static_cast<std::size_t>(obj.root)] != 0) {
+      throw fault::Error(fault::Layer::core, fault::Kind::root_failed,
+                         obj.root, "the reduction root process died");
+    }
+    if (!a2one && std::any_of(proc_dead.begin(), proc_dead.end(),
+                              [](char c) { return c != 0; })) {
+      throw fault::Error(fault::Layer::core, fault::Kind::unrecoverable,
+                         "all_to_all reduction cannot survive a process death");
+    }
+  };
+
   // One crash watch: agree on role deaths (self-reported), process deaths
   // (the agreement verdict's registry snapshot) and missed slots, then
   // replan every newly dead aggregator's file domain. Watch `k` announces
@@ -373,16 +401,16 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   // proc_dead / miss_iter — every recovery decision below derives from
   // them, never from local timing.
   auto do_watch = [&](int k, int epoch) {
-    if (ftmode) mpi::ft::crash_point(comm, fault::Phase::crash_watch);
+    mpi::ft::crash_point(comm, fault::Phase::crash_watch);
     // Mask layout: words [0, crash_words) carry role-death bits, words
-    // [crash_words, 2*crash_words) carry miss bits. In legacy (allreduce)
-    // mode each bit has a single owner — the dying rank itself — so the
-    // sum stays carry-free; agreement mode ORs, so receivers report
-    // process-death misses too.
+    // [crash_words, 2*crash_words) carry miss bits, and recover mode (the
+    // only one that ever aborts) adds the abort word. The agreement ORs, so
+    // a miss is reported both by the interrupted aggregator and by every
+    // receiver that logged it.
     const std::size_t words =
         2 * static_cast<std::size_t>(crash_words) + (recover ? 1 : 0);
     std::vector<std::uint64_t> my_bits(words, 0);
-    if (recover && aborting) my_bits[words - 1] |= 1;
+    if (aborting) my_bits[words - 1] |= 1;
     if (my_agg >= 0 && agg_dead[static_cast<std::size_t>(my_agg)] == 0 &&
         fi->schedule().aggregator_crashed(comm.rank(), comm.wtime())) {
       my_bits[static_cast<std::size_t>(my_agg / kCrashBitsPerWord)] |=
@@ -393,31 +421,16 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
             1ull << (my_agg % kCrashBitsPerWord);
       }
     }
-    if (ftmode) {
-      for (const SlotEntry& e : slot_log) {
-        if (!e.miss) continue;
-        my_bits[static_cast<std::size_t>(crash_words +
-                                         e.a / kCrashBitsPerWord)] |=
-            1ull << (e.a % kCrashBitsPerWord);
-      }
+    for (const SlotEntry& e : slot_log) {
+      if (!e.miss) continue;
+      my_bits[static_cast<std::size_t>(crash_words +
+                                       e.a / kCrashBitsPerWord)] |=
+          1ull << (e.a % kCrashBitsPerWord);
     }
-    std::vector<std::uint64_t> bits(words, 0);
-    if (ftmode) {
-      const mpi::ft::Verdict v = mpi::ft::agree(comm, my_bits, epoch);
-      bits = v.mask;
-      for (int r = 0; r < comm.size(); ++r) {
-        if (v.dead_bit(r)) proc_dead[static_cast<std::size_t>(r)] = 1;
-      }
-    } else {
-      std::vector<std::int64_t> in(words, 0), folded(words, 0);
-      for (std::size_t i = 0; i < words; ++i) {
-        in[i] = static_cast<std::int64_t>(my_bits[i]);
-      }
-      comm.allreduce(in.data(), folded.data(), words, mpi::Prim::i64,
-                     mpi::Op::sum());
-      for (std::size_t i = 0; i < words; ++i) {
-        bits[i] = static_cast<std::uint64_t>(folded[i]);
-      }
+    const mpi::ft::Verdict v = mpi::ft::agree(comm, my_bits, epoch);
+    const std::vector<std::uint64_t>& bits = v.mask;
+    for (int r = 0; r < comm.size(); ++r) {
+      if (v.dead_bit(r)) proc_dead[static_cast<std::size_t>(r)] = 1;
     }
     if (recover && (bits[words - 1] & 1) != 0) {
       // Some rank abandoned this attempt: the failure is now replicated, so
@@ -451,6 +464,9 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
         continue;
       }
       agg_dead[static_cast<std::size_t>(d)] = 1;
+      // A crash-point plan replicated every rank's request at build time,
+      // so its replan needs no messages; a role-crash-only plan did not,
+      // and its (all alive) survivors exchange the dead domain's offsets.
       if (!plan.all_requests.empty()) {
         absorbed[static_cast<std::size_t>(d)] =
             romio::replan_local(comm, plan, d);
@@ -478,10 +494,6 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
           if (agg_dead[static_cast<std::size_t>(b)] == 0) {
             survivors.push_back(plan.aggregators[static_cast<std::size_t>(b)]);
           }
-        }
-        if (recover && survivors.empty()) {
-          throw fault::Error(fault::Layer::core, fault::Kind::unrecoverable,
-                             "every aggregator of this plan crashed");
         }
         COLCOM_EXPECT_MSG(!survivors.empty(), "every aggregator crashed");
         absorbed[static_cast<std::size_t>(d)] =
@@ -511,27 +523,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
                     "agg_crash_detected", comm.wtime());
       }
     }
-    if (recover) {
-      // Structural impossibilities, derived purely from the agreed verdict,
-      // so every alive rank throws the same error at the same watch —
-      // structured failures the service can classify, never diverging
-      // aborts that would hang the survivors at the next agreement.
-      if (std::all_of(agg_dead.begin(), agg_dead.end(),
-                      [](char c) { return c != 0; })) {
-        throw fault::Error(fault::Layer::core, fault::Kind::unrecoverable,
-                           "every aggregator of this plan crashed");
-      }
-      if (a2one && proc_dead[static_cast<std::size_t>(obj.root)] != 0) {
-        throw fault::Error(fault::Layer::core, fault::Kind::root_failed,
-                           obj.root, "the reduction root process died");
-      }
-      if (!a2one && std::any_of(proc_dead.begin(), proc_dead.end(),
-                                [](char c) { return c != 0; })) {
-        throw fault::Error(
-            fault::Layer::core, fault::Kind::unrecoverable,
-            "all_to_all reduction cannot survive a process death");
-      }
-    }
+    if (recover) throw_if_unfinishable();
   };
 
   // ---- aggregator-side pipelined I/O state (Fig. 7: the I/O thread) ----
@@ -651,10 +643,9 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
 
   // Receives one slot from `src` under `tag`, at most `max_recs` records:
   // the records, or nullopt when the slot went missing — a 1-byte death
-  // note, or (with `dead_is_miss`) the serving process died and recv_ft
-  // raised rank_failed. Unwatched runs lose no slots: a plain receive.
-  auto recv_slot = [&](int src, int tag, std::size_t max_recs,
-                       bool dead_is_miss)
+  // note, or the serving process died and recv_ft raised rank_failed.
+  // Unwatched runs lose no slots: a plain receive.
+  auto recv_slot = [&](int src, int tag, std::size_t max_recs)
       -> std::optional<std::span<const PartialRecord>> {
     if (recv_buf.size() < max_recs) recv_buf.resize(max_recs);
     const auto buf = std::as_writable_bytes(
@@ -666,7 +657,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
       try {
         nbytes = comm.recv_ft(src, tag, buf).bytes;
       } catch (const fault::Error& e) {
-        if (!dead_is_miss || e.kind() != fault::Kind::rank_failed) throw;
+        if (e.kind() != fault::Kind::rank_failed) throw;
         return std::nullopt;
       }
       if (nbytes == 1) return std::nullopt;
@@ -872,7 +863,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
         if (proc_dead[static_cast<std::size_t>(dead_rank)] == 0 &&
             fi->schedule().config().warm_partials) {
           recs = recv_slot(dead_rank, warm_rep_tag,
-                           static_cast<std::size_t>(comm.size()), true);
+                           static_cast<std::size_t>(comm.size()));
         }
         if (recs.has_value()) {
           std::uint64_t saved = 0;
@@ -915,46 +906,26 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
   // its stored records — so the FP combine sequence is exactly the
   // fault-free one.
   auto recover_slots = [&](int wk) {
-    if (aborting || slot_log.empty()) {
-      slot_log.clear();
-      deferring = false;
-      return;
-    }
-    // Local failures below cannot abort the whole world from here — the
-    // other ranks are deep in their own receive sequences and would hang at
-    // the next agreement if this rank just threw. Turn zombie instead
-    // (recover mode): drop the log, stop folding, and let the abort word of
-    // the next watch replicate the failure to everyone.
-    auto go_zombie = [&] {
-      aborting = true;
-      slot_log.clear();
-      deferring = false;
-    };
     for (SlotEntry& e : slot_log) {
+      if (aborting) break;
       if (!e.miss) {
         fold_records(e.recs);
         continue;
       }
-      if (recover && e.k != wk - 1) {
-        // The absorbing survivor of a missed slot died before re-serving
-        // it — make-up recovery is single-level by design; the resubmit
-        // restarts the slice cleanly from the parked mid instead.
-        go_zombie();
-        return;
-      }
-      COLCOM_EXPECT_MSG(e.k == wk - 1,
-                        "make-up recovery is single-level: the absorbing "
-                        "survivor of a missed slot died before re-serving "
-                        "it");
+      // Every watch replays the log, so it only ever holds the iteration
+      // just finished — whose misses this watch announced.
+      COLCOM_ENSURE(e.k == wk - 1);
       const int src =
           plan.aggregators[static_cast<std::size_t>(serving_index(e.a, e.k))];
-      // Outside recover mode a dead absorber stays a rank_failed throw; in
-      // it, a dead absorber or its failure note (it could not re-serve)
-      // turns this rank zombie.
-      const auto recs = recv_slot(src, recover_tag, slot_recs, recover);
+      const auto recs = recv_slot(src, recover_tag, slot_recs);
       if (!recs.has_value()) {
-        go_zombie();
-        return;
+        // The absorber died, or noted that it could not re-serve (both
+        // only under crash points). Throwing here would leave the others,
+        // deep in their own receive sequences, hanging at the next
+        // agreement: turn zombie instead — stop folding and let the abort
+        // word of the next watch replicate the failure to everyone.
+        aborting = true;
+        break;
       }
       fold_records(*recs);
     }
@@ -1025,7 +996,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
       // records ship — the canonical "late in the iteration" crash. Placed
       // before the k+1 prefetch so the dying fiber unwinds with no I/O in
       // flight.
-      if (ftmode) mpi::ft::crash_point(comm, fault::Phase::mid_map);
+      mpi::ft::crash_point(comm, fault::Phase::mid_map);
       // A timed role crash landing inside the iteration (not at a watch
       // boundary) interrupts after the map: the records exist but never
       // ship. Receivers get a 1-byte death notice and log the miss; the
@@ -1119,7 +1090,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
         }
         const auto [src, tag] = shuffle_source(a, k);
         // A death note, or the serving process died before shipping.
-        const auto recs = recv_slot(src, tag, slot_recs, true);
+        const auto recs = recv_slot(src, tag, slot_recs);
         if (!recs.has_value()) {
           slot_log.push_back(SlotEntry{a, k, true, {}});
           deferring = true;
@@ -1155,9 +1126,11 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
     if (!partial) {
       // Settle: a rank that turned zombie *during* the final watch's
       // recovery (its absorber died re-serving the last slot) has no later
-      // watch to replicate the abort — without this agreement the others
-      // would hang on it in the final reduce. One extra word-wide agree,
-      // only on the recovery path, decides the attempt for everyone.
+      // watch to replicate the abort, and a process that died inside the
+      // final watch's replan is in no watch verdict. Without this agreement
+      // the others would hang on them, or fail a contract, in the final
+      // reduce. One extra word-wide agree, only on the recovery path,
+      // decides the attempt for everyone.
       std::vector<std::uint64_t> settle(1, aborting ? 1 : 0);
       const mpi::ft::Verdict v =
           mpi::ft::agree(comm, settle, ropt.epoch_base + 2 * end_iter + 2);
@@ -1168,10 +1141,7 @@ CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
         throw fault::Error(fault::Layer::core, fault::Kind::slice_aborted,
                            "a rank abandoned this slice attempt");
       }
-      if (a2one && proc_dead[static_cast<std::size_t>(obj.root)] != 0) {
-        throw fault::Error(fault::Layer::core, fault::Kind::root_failed,
-                           obj.root, "the reduction root process died");
-      }
+      throw_if_unfinishable();
     } else if (aborting) {
       // A partial window runs no further collective: the zombie throws
       // locally (its accumulators are incomplete and must not be parked)

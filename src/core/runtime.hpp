@@ -109,21 +109,16 @@ struct RunOptions {
   std::vector<std::byte>* mid = nullptr;
 
   /// Base of the agreement-epoch block this run may use (crash watches,
-  /// survivor groups). 0 keeps the legacy in-run numbering; a scheduler
-  /// resubmitting failed slices must hand every attempt a fresh disjoint
-  /// block so no two attempts ever share an agreement tag.
+  /// survivor groups). 0 numbers them from the run's own iterations, which
+  /// suits a single attempt; a scheduler resubmitting failed slices must
+  /// hand every attempt a fresh disjoint block so no two attempts ever
+  /// share an agreement tag.
   int epoch_base = 0;
   /// Salt folded into the runtime's data-plane tags (shuffle, absorb,
-  /// recover, final fold). 0 keeps the legacy tags; a resubmitted attempt
+  /// recover, final fold). 0 uses the base tags; a resubmitted attempt
   /// must use a fresh salt so stale in-flight messages of the failed
   /// attempt can never match the retry's receives.
   int tag_salt = 0;
-  /// Opt into end-to-end recovery semantics: instead of aborting via
-  /// COLCOM_EXPECT, unsatisfiable runs throw structured fault::Error on
-  /// EVERY alive rank (replicated via the crash-watch agreement), so a
-  /// scheduler can roll the job back to its parked mid and resubmit.
-  /// Off preserves the legacy fail-stop behavior bit for bit.
-  bool recover = false;
 };
 
 /// Worst-case size of a RunOptions::mid image on a world of `nprocs`
@@ -136,6 +131,10 @@ constexpr std::uint64_t mid_state_max_bytes(int nprocs) {
 /// Runs collective computing over a caller-provided two-phase plan (built
 /// with detail::cc_hints for an object of the same shape) — the fast path
 /// of IterativeComputer, which shifts one cached plan across time windows.
+/// Under a chaos schedule with crash points, a run that cannot finish
+/// (every aggregator dead, the all_to_one root dead, any process dead under
+/// all_to_all, a rank unable to re-serve a slot) throws the same
+/// fault::Error on every alive rank.
 CcStats collective_compute_with_plan(mpi::Comm& comm, const ncio::Dataset& ds,
                                      const ObjectIO& obj,
                                      const romio::TwoPhasePlan& plan,

@@ -43,8 +43,8 @@ void audit_decision(int rank, const char* kind,
 /// beyond any realistic tenant count.
 constexpr std::uint64_t kPassScale = 1ull << 16;
 
-/// Base of the service's agreement-epoch space. The runtime's legacy
-/// in-run epochs are tiny (2 * n_iters + 2) and stage flush groups live at
+/// Base of the service's agreement-epoch space. A run's own epochs at
+/// epoch_base 0 are tiny (2 * n_iters + 2) and stage flush groups live at
 /// (1 << 20) + seq, so starting the per-attempt blocks here keeps every
 /// agreement and survivor-group tag namespace disjoint.
 constexpr int kSvcEpochBase = 1 << 22;
@@ -562,7 +562,6 @@ void ServiceContext::run_slice(Job& j) {
     // Every attempt — first or resubmitted — gets a disjoint agreement-
     // epoch block and a fresh data-plane tag salt, so nothing of a failed
     // attempt (stale messages, stale agreements) can ever match a retry.
-    ropt.recover = true;
     ropt.epoch_base = epoch_cursor_;
     ropt.tag_salt = salt_cursor_++;
     const int span = 2 * j.plan.n_iters + 8;

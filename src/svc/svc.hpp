@@ -34,7 +34,7 @@
 // the core runtime's watch/replan machinery with bit-identical recovery.
 //
 // svc::Recovery (end-to-end, process deaths): when chaos crash points are
-// installed, every slice runs with core::RunOptions::recover — a failed
+// installed, the core runtime runs every slice in recover mode — a failed
 // attempt surfaces as a replicated fault::Error instead of an abort or a
 // hang. The service snapshots the job's parked `mid` before each attempt,
 // agrees on the attempt's outcome (one extra ft::agree whose mask also
@@ -306,8 +306,8 @@ class ServiceContext {
   void shed_job(Job& j, FailReason r);
   /// Agreed-failed attempt: decide retry (backoff) vs structured failure.
   void handle_slice_failure(Job& j, FailReason why, bool retryable);
-  /// True when chaos crash points are installed: slices run with
-  /// core::RunOptions::recover and every attempt's outcome is agreed.
+  /// True when chaos crash points are installed: slices run in the core
+  /// runtime's recover mode and every attempt's outcome is agreed.
   bool recovery_active() const;
   /// Merges every rank's clock into agreed_now_ (collective).
   void sync_clock();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "core/logical.hpp"
@@ -305,9 +306,17 @@ TEST(CollectiveCompute, BlockingPathMatches) {
 
 TEST(CollectiveCompute, UserOpMatchesAcrossPaths) {
   // The paper's Fig. 6 op: a user compute function registered with
-  // MPI_Op_create and passed into the object I/O.
+  // MPI_Op_create and passed into the object I/O. It reads its operands as
+  // `double`, so every call — the final cross-rank reduce over packed
+  // (flag, value) records included — must hand it aligned pointers.
+  int misaligned = 0;
   auto user_sum = mpi::Op::create(
-      [](const void* in, void* inout, std::size_t n, mpi::Prim) {
+      [&misaligned](const void* in, void* inout, std::size_t n, mpi::Prim) {
+        if (reinterpret_cast<std::uintptr_t>(in) % alignof(double) != 0 ||
+            reinterpret_cast<std::uintptr_t>(inout) % alignof(double) != 0) {
+          ++misaligned;
+          return;
+        }
         const double* a = static_cast<const double*>(in);
         double* b = static_cast<double*>(inout);
         for (std::size_t i = 0; i < n; ++i) b[i] += a[i];
@@ -316,6 +325,7 @@ TEST(CollectiveCompute, UserOpMatchesAcrossPaths) {
   double cc = 0, trad = 0;
   run_case(h, user_sum, ReduceMode::all_to_all, false, &cc);
   run_case(h, user_sum, ReduceMode::all_to_one, true, &trad);
+  EXPECT_EQ(misaligned, 0);
   const double truth = serial_truth(h, mpi::Op::sum());
   EXPECT_NEAR(cc, truth, std::abs(truth) * 1e-12 + 1e-9);
   EXPECT_NEAR(trad, truth, std::abs(truth) * 1e-12 + 1e-9);

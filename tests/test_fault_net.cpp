@@ -9,6 +9,7 @@
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "core/iterative.hpp"
 #include "core/object_io.hpp"
@@ -21,6 +22,7 @@
 #include "ncio/dataset.hpp"
 #include "pfs/pfs.hpp"
 #include "pfs/store.hpp"
+#include "trace/trace.hpp"
 
 namespace colcom {
 namespace {
@@ -271,7 +273,7 @@ TEST(CcChaos, AggregatorCrashFailsOverBitIdentically) {
   cfg.seed = chaos_seed();
   // Crash rank 4 (the second aggregator) just after planning starts: it is
   // still selected (alive at t=0) and detected at the first crash-watch
-  // allreduce, so survivors absorb its whole file domain.
+  // agreement, so survivors absorb its whole file domain.
   fault::ChaosEvent crash;
   crash.kind = fault::Kind::aggregator_crash;
   crash.subject = 4;
@@ -281,9 +283,26 @@ TEST(CcChaos, AggregatorCrashFailsOverBitIdentically) {
   EXPECT_GT(a.stats.replans, 0u);
   EXPECT_GT(a.faults.absorbed_chunks, 0u);
   EXPECT_EQ(a.faults.replans, 1u);
+  EXPECT_GT(a.faults.agreement_rounds, 0u);
+  // The rerun is traced: tracing leaves the virtual clock alone, and every
+  // rank marks its one replan with an agg_crash_detected instant.
+  des::Engine trace_engine;
+  trace::Tracer tr;
+  tr.attach(trace_engine);
   const CcRun b = run_cc(cfg, {crash});
+  tr.detach();
   EXPECT_DOUBLE_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.faults.absorbed_chunks, b.faults.absorbed_chunks);
+  std::vector<int> detected(kProcs, 0);
+  for (const trace::TraceEvent& ev : tr.events()) {
+    if (ev.ph == trace::TraceEvent::Ph::instant &&
+        ev.name == "agg_crash_detected") {
+      ASSERT_GE(ev.tid, 0);
+      ASSERT_LT(ev.tid, kProcs);
+      ++detected[static_cast<std::size_t>(ev.tid)];
+    }
+  }
+  EXPECT_EQ(detected, std::vector<int>(kProcs, 1));
 }
 
 TEST(CcChaos, PreRunCrashExcludesAggregatorFromSelection) {

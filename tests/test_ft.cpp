@@ -441,12 +441,16 @@ struct AbortRun {
   std::vector<char> finished;
   std::vector<std::optional<fault::Kind>> kind;
   std::vector<double> rank4_takes;  // rank 4's primary take() return times
+  double elapsed = 0;               // virtual end of the run
 };
 
-/// run_cc_ft's world under RunOptions::recover and a FailingAuxSource, with
-/// a crash point that never fires (it arms ft mode) and `events`.
-AbortRun run_failing_side_channel(core::ReduceMode mode,
-                            const std::vector<fault::ChaosEvent>& events) {
+/// run_cc_ft's world as a plan-based run under `mode`, crash `points` and
+/// `events`. With `failing_aux` its chunks come from a FailingAuxSource;
+/// without, it is a plain run — no service, no run options.
+AbortRun run_plan_ft(core::ReduceMode mode,
+                     const std::vector<fault::CrashPoint>& points,
+                     const std::vector<fault::ChaosEvent>& events = {},
+                     bool failing_aux = false) {
   mpi::MachineConfig machine;
   machine.cores_per_node = 4;
   machine.pfs.n_osts = 4;
@@ -457,7 +461,7 @@ AbortRun run_failing_side_channel(core::ReduceMode mode,
   chaos.warm_partials = false;  // every make-up is a cold side-channel read
   fault::ChaosSchedule sched(chaos, rt.n_nodes(), kProcs, 8);
   for (const auto& ev : events) sched.add(ev);
-  sched.add_crash_point({fault::Phase::plan_exchange, 7, 1000});
+  for (const auto& cp : points) sched.add_crash_point(cp);
   rt.install_chaos(std::move(sched));
   auto ds = ncio::DatasetBuilder(rt.fs(), "ft.nc")
                 .add_generated_var<float>(
@@ -486,8 +490,7 @@ AbortRun run_failing_side_channel(core::ReduceMode mode,
     FailingAuxSource src(comm, ds.file(), true,
                          comm.rank() == 4 ? &res.rank4_takes : nullptr);
     core::RunOptions ropt;
-    ropt.source = &src;
-    ropt.recover = true;
+    if (failing_aux) ropt.source = &src;
     core::CcOutput out;
     try {
       core::collective_compute_with_plan(comm, ds, io, plan, out, ropt);
@@ -496,6 +499,7 @@ AbortRun run_failing_side_channel(core::ReduceMode mode,
       res.kind[r] = e.kind();
     }
   });
+  res.elapsed = rt.elapsed();
   return res;
 }
 
@@ -510,10 +514,12 @@ TEST(CcFt, FailedSideChannelReadAbortsEveryRankInBothReduceModes) {
   // Every receiver of the failed slot must be told, so the attempt aborts
   // as slice_aborted on all ranks instead of leaving them polling for
   // records that never come. Under all_to_all the receivers are the ranks
-  // holding pieces of the dead domain's chunk.
+  // holding pieces of the dead domain's chunk. A crash point that never
+  // fires arms recover mode.
+  const fault::CrashPoint kNeverFires{fault::Phase::plan_exchange, 7, 1000};
   for (const auto mode :
        {core::ReduceMode::all_to_one, core::ReduceMode::all_to_all}) {
-    const AbortRun probe = run_failing_side_channel(mode, {});
+    const AbortRun probe = run_plan_ft(mode, {kNeverFires}, {}, true);
     ASSERT_FALSE(probe.rank4_takes.empty());
     for (int p = 0; p < kProcs; ++p) {
       EXPECT_TRUE(probe.finished[static_cast<std::size_t>(p)] != 0)
@@ -527,13 +533,80 @@ TEST(CcFt, FailedSideChannelReadAbortsEveryRankInBothReduceModes) {
       crash.kind = fault::Kind::aggregator_crash;
       crash.subject = 4;
       crash.at = at;
-      const AbortRun run = run_failing_side_channel(mode, {crash});
+      const AbortRun run = run_plan_ft(mode, {kNeverFires}, {crash}, true);
       for (int p = 0; p < kProcs; ++p) {
         const auto i = static_cast<std::size_t>(p);
         EXPECT_EQ(run.finished[i], 0) << "rank " << p << " crash at " << at;
         EXPECT_EQ(run.kind[i], fault::Kind::slice_aborted)
             << "rank " << p << " crash at " << at;
       }
+    }
+  }
+}
+
+// ------------- structured errors without a scheduler -------------
+
+/// No rank finished; the `dead` ranks died, every other one threw `want`.
+void expect_all_failed(const AbortRun& run, const std::vector<int>& dead,
+                       fault::Kind want) {
+  for (int p = 0; p < kProcs; ++p) {
+    const auto i = static_cast<std::size_t>(p);
+    EXPECT_EQ(run.finished[i], 0) << "rank " << p;
+    if (std::find(dead.begin(), dead.end(), p) != dead.end()) {
+      EXPECT_EQ(run.kind[i], std::nullopt) << "rank " << p;
+    } else {
+      EXPECT_EQ(run.kind[i], want) << "rank " << p;
+    }
+  }
+}
+
+TEST(CcFt, AllToAllProcessDeathIsUnrecoverableOnEveryAliveRank) {
+  // Rank 4 dies after reading its second chunk. An all_to_all reduction
+  // cannot finish without a member, so the crash points alone make every
+  // alive rank throw the same structured error at the watch that agrees
+  // on the death: no contract failure escapes the run.
+  const AbortRun run = run_plan_ft(core::ReduceMode::all_to_all,
+                                    {{fault::Phase::mid_map, 4, 2}});
+  expect_all_failed(run, {4}, fault::Kind::unrecoverable);
+}
+
+TEST(CcFt, EveryAggregatorDeadIsUnrecoverableOnEveryAliveRank) {
+  // Both aggregators (ranks 0 and 4) die entering the second crash watch:
+  // the agreement reports both, nobody is left to absorb their domains,
+  // and every alive rank throws unrecoverable in either reduce mode.
+  for (const auto mode :
+       {core::ReduceMode::all_to_one, core::ReduceMode::all_to_all}) {
+    const AbortRun run =
+        run_plan_ft(mode, {{fault::Phase::crash_watch, 0, 2},
+                            {fault::Phase::crash_watch, 4, 2}});
+    expect_all_failed(run, {0, 4}, fault::Kind::unrecoverable);
+  }
+}
+
+TEST(CcFt, DeathInsideFinalReplanStaysStructured) {
+  // Rank 4's role dies at a swept time and rank 2's process dies inside
+  // the replan that follows. A role death detected only at the final watch
+  // puts rank 2's death after the last watch verdict, where only the
+  // settle agreement sees it. Whenever rank 2 dies, the all_to_all run
+  // cannot finish: every alive rank throws unrecoverable, and nothing else
+  // escapes the run.
+  const double end = run_plan_ft(core::ReduceMode::all_to_all, {}).elapsed;
+  for (int i = 1; i <= 20; ++i) {
+    fault::ChaosEvent crash;
+    crash.kind = fault::Kind::aggregator_crash;
+    crash.subject = 4;
+    crash.at = end * i / 20;
+    AbortRun run;
+    ASSERT_NO_THROW(run = run_plan_ft(core::ReduceMode::all_to_all,
+                                      {{fault::Phase::replan, 2, 1}}, {crash}))
+        << "crash at " << crash.at;
+    if (run.finished[2] != 0) {
+      for (int p = 0; p < kProcs; ++p) {
+        EXPECT_NE(run.finished[static_cast<std::size_t>(p)], 0)
+            << "rank " << p << " crash at " << crash.at;
+      }
+    } else {
+      expect_all_failed(run, {2}, fault::Kind::unrecoverable);
     }
   }
 }
